@@ -2,23 +2,27 @@
 value curve, and the order-by-order control series at a multiple turning
 point.
 
-All connection problems integrate inward from a tail anchor at X_far (the
-stable direction) and the scalar solves are bracketed bisections or
-safeguarded root finds; results are independent of X_far once the anchors
-sit in the asymptotic regime.
+The connection problems are solved by shooting: each branch is anchored on
+its tail at +-X_far and integrated toward X = 0 in the direction in which
+it attracts, and a smooth mismatch at X = 0 is driven to zero by brentq.
+Results are independent of X_far once the anchors sit in the asymptotic
+regime.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from functools import cache, partial
+from typing import Callable, NamedTuple
 
 from scipy import integrate, optimize
 
 from .errors import BlowupError, SeriesError
 from .special import gauss_moment
 from .turning import ODESpec, UnsupportedExpansionError, _g_polynomials
+
+_TOL_FLOOR = 1e-12  # finest root tolerance; the solves run at rtol 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -42,10 +46,24 @@ class ConnectionProblem:
         der = (self.anchor(X0 + h) - self.anchor(X0 - h)) / (2 * h)
         return abs(der - self.rhs(X0, self.anchor(X0)))
 
+    def shoot(self, side: int) -> float:
+        """Y(0) of the solution through the anchor at X0 = side*X_far; the
+        anchored branch must attract on the way from X0 to 0."""
+        X0, rhs = side * self.X_far, self.rhs
+        sol = integrate.solve_ivp(
+            lambda X, y: [rhs(X, y[0])], (X0, 0.0), [self.anchor(X0)],
+            method="DOP853", rtol=1e-12, atol=1e-14,
+        )
+        if not sol.success:
+            raise BlowupError("shooting toward X = 0 failed",
+                              where=float(sol.t[-1]))
+        return float(sol.y[0][-1])
 
-def _anchor_residual(rhs, anchor_fn, X0, h=1e-4):
-    der = (anchor_fn(X0 + h) - anchor_fn(X0 - h)) / (2 * h)
-    return abs(der - rhs(X0, anchor_fn(X0)))
+
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= _TOL_FLOOR):
+        raise SeriesError(f"root tolerance {tol!r} must be finite and at "
+                          f"least {_TOL_FLOOR:g}")
 
 
 # ---------------------------------------------------------------------------
@@ -63,48 +81,53 @@ def _uj_anchor(c, X):
     )
 
 
+def _uj_growing_anchor(c, s, X):
+    """Tail of the solution growing like s*X at +inf: s*(X + a/X^2 -
+    a(2+3a)/(2X^5)) with a = (1 - s*c)/2, residual O(X^-6)."""
+    a = 0.5 * (1.0 - s * c)
+    return s * (X + a / X ** 2 - a * (2.0 + 3.0 * a) / (2.0 * X ** 5))
+
+
 def union_jack_rhs(X, Y, c):
     return Y * (Y - X) * (Y + X) + c
 
 
-def _uj_classify(c: float, X_far: float, mirror: bool) -> bool:
-    """Integrate from -X_far and classify the exit: True when the
-    trajectory escapes past the guard line Y = max(X, 0) + 1 (upward, for
-    the direct problem) or Y = -max(X, 0) - 1 (downward, for the mirror).
+def _uj_mismatch(c: float, X_far: float = 10.0, s: float = 1.0) -> float:
+    """F(c) = Y_fwd(0) - Y_bwd(0): the solution vanishing at -infinity,
+    shot forward from -X_far, against the branch growing like s*X, shot
+    backward from +X_far.  Both legs run in their stable direction."""
+    rhs = partial(union_jack_rhs, c=c)
+    fwd = ConnectionProblem(rhs, partial(_uj_anchor, c), X_far, c)
+    bwd = ConnectionProblem(rhs, partial(_uj_growing_anchor, c, s), X_far, c)
+    return fwd.shoot(-1) - bwd.shoot(+1)
 
-    Trajectories that connect to the growing branch cross the guard and
-    blow up; all others stay between the guard lines to the right edge
-    (the connecting orbit itself clears the line by a comfortable margin).
+
+class UnionJackResult(NamedTuple):
+    value: float  # the connection constant
+    mismatch: float  # |F(value)|
+    evaluations: int  # mismatch evaluations made, two solves each
+
+
+def union_jack_connection(tol: float = 1e-10, X_far: float = 10.0,
+                          mirror: bool = False) -> UnionJackResult:
+    """``union_jack_c0`` with its measured cost and final mismatch.
+
+    brentq on the mismatch F of ``_uj_mismatch``: F < 0 at c = 0 and F > 0
+    at c = 1/2 (beyond c ~ 0.85 the forward leg blows up).  The mirror
+    problem flips the sign of the growing branch; its bracket is [-1/2, 0].
     """
+    _check_tol(tol)
+    s = -1.0 if mirror else 1.0
 
-    def rhs(X, y):
-        return [union_jack_rhs(X, y[0], c)]
+    @cache  # brentq re-reads the bracket ends
+    def F(c):
+        return _uj_mismatch(c, X_far, s)
 
-    if not mirror:
-        def guard(X, y):
-            return y[0] - (max(X, 0.0) + 1.0)
-        guard.direction = 1.0
-    else:
-        def guard(X, y):
-            return y[0] + (max(X, 0.0) + 1.0)
-        guard.direction = -1.0
-    guard.terminal = True
-
-    def low(X, y):  # opposite-side exit, also a non-connection
-        return y[0] + 1.0 if not mirror else y[0] - 1.0
-    low.terminal = True
-    low.direction = -1.0 if not mirror else 1.0
-
-    sol = integrate.solve_ivp(
-        rhs, (-X_far, X_far), [_uj_anchor(c, -X_far)],
-        method="RK45", rtol=1e-11, atol=1e-13, events=[guard, low],
-    )
-    if len(sol.t_events[0]) > 0:
-        return True
-    if sol.status < 0:  # integrator death from a runaway trajectory
-        last = sol.y[0][-1]
-        return last > 0 if not mirror else last < 0
-    return False
+    lo, hi = sorted((0.0, 0.5 * s))
+    if not F(lo) * F(hi) < 0:
+        raise SeriesError("endpoints do not bracket the connection value")
+    c0 = optimize.brentq(F, lo, hi, xtol=tol)
+    return UnionJackResult(c0, abs(F(c0)), F.cache_info().currsize)
 
 
 def union_jack_c0(tol: float = 1e-10, X_far: float = 10.0,
@@ -112,34 +135,16 @@ def union_jack_c0(tol: float = 1e-10, X_far: float = 10.0,
     """Connection constant of dY/dX = Y(Y-X)(Y+X) + c: the unique c in
     (0, 1) joining the solution that vanishes at -infinity to the branch
     growing like X at +infinity (``mirror=True`` connects to -X instead
-    and returns the opposite constant).
-
-    Bisection on c: trajectories escaping above the guard line bracket
-    from one side, bounded or downward exits from the other.
+    and returns the opposite constant).  ``tol`` is the root tolerance,
+    at least 1e-12.
     """
-    if tol < 1e-10:
-        raise SeriesError("tolerance below the supported bisection resolution")
-    if not mirror:
-        lo, hi = 0.0, 1.0  # classify(lo)=False (Y=0 stays), classify(hi)=True
-    else:
-        lo, hi = 0.0, -1.0
-    if _uj_classify(lo, X_far, mirror) or not _uj_classify(hi, X_far, mirror):
-        raise SeriesError("endpoints do not bracket the connection value")
-    while abs(hi - lo) > tol:
-        mid = 0.5 * (lo + hi)
-        if _uj_classify(mid, X_far, mirror):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return union_jack_connection(tol, X_far, mirror).value
 
 
 def union_jack_anchor_residual(c: float, X_far: float = 10.0) -> float:
-    return _anchor_residual(
-        lambda X, Y: union_jack_rhs(X, Y, c),
-        lambda X: _uj_anchor(c, X),
-        -X_far,
-    )
+    return ConnectionProblem(partial(union_jack_rhs, c=c),
+                             partial(_uj_anchor, c), X_far, c
+                             ).anchor_residual(side=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -161,26 +166,15 @@ def _reduced_anchor(D: float, T: float) -> float:
     return w1 / T + w3 / T ** 3 + w5 / T ** 5 + w7 / T ** 7
 
 
-def _vd0(D: float, T_far: float = 10.0) -> float:
-    """V_d(0, D): value at 0 of the solution of V' = T V + V**2 + D that
-    vanishes at +infinity, anchored four tail terms deep."""
-    sol = integrate.solve_ivp(
-        lambda T, v: [T * v[0] + v[0] ** 2 + D],
-        (T_far, 0.0), [_reduced_anchor(D, T_far)],
-        method="RK45", rtol=1e-12, atol=1e-14,
-    )
-    if not sol.success:
-        raise BlowupError("inward integration of the reduced equation failed",
-                          where=sol.t[-1])
-    return float(sol.y[0][-1])
+def _reduced_problem(D: float, T_far: float) -> ConnectionProblem:
+    """V' = T V + V**2 + D, its decaying branch anchored four tail terms
+    deep at +T_far; V_d(0, D) is ``.shoot(+1)``."""
+    return ConnectionProblem(lambda T, V: T * V + V * V + D,
+                             partial(_reduced_anchor, D), T_far, D)
 
 
 def reduced_anchor_residual(D: float, T_far: float = 10.0) -> float:
-    return _anchor_residual(
-        lambda T, V: T * V + V ** 2 + D,
-        lambda T: _reduced_anchor(D, T),
-        T_far,
-    )
+    return _reduced_problem(D, T_far).anchor_residual(side=1)
 
 
 def angular_canard_value(eps: float, tol: float = 1e-10,
@@ -190,11 +184,14 @@ def angular_canard_value(eps: float, tol: float = 1e-10,
         gamma(eps)  V_d(0, (c - d(eps)) / gamma(eps)**2)
       = -gamma(-eps) V_d(0, (c - d(-eps)) / gamma(-eps)**2)
 
-    with d + d**2 = eps and gamma**2 = 1 + 2 d.  Requires |eps| < 1/4 so
-    both branches are real; the value curve is even in eps.
+    with d + d**2 = eps and gamma**2 = 1 + 2 d.  Requires finite |eps| <
+    1/4 so both branches are real; the value curve is even in eps.
+    ``tol`` is the root tolerance, at least 1e-12.
     """
-    if abs(eps) >= 0.25:
-        raise SeriesError("|eps| must be below 1/4 for real branch data")
+    if not abs(eps) < 0.25:
+        raise SeriesError(f"eps must be finite with |eps| < 1/4 for real "
+                          f"branch data, got {eps!r}")
+    _check_tol(tol)
     if eps == 0:
         return 0.0
 
@@ -207,9 +204,10 @@ def angular_canard_value(eps: float, tol: float = 1e-10,
     dp, dm = d_of(eps), d_of(-eps)
     gp, gm = gamma_of(eps), gamma_of(-eps)
 
+    @cache  # brentq re-reads the bracket ends
     def F(c):
-        left = gp * _vd0((c - dp) / gp ** 2, T_far)
-        right = gm * _vd0((c - dm) / gm ** 2, T_far)
+        left = gp * _reduced_problem((c - dp) / gp ** 2, T_far).shoot(+1)
+        right = gm * _reduced_problem((c - dm) / gm ** 2, T_far).shoot(+1)
         return left + right
 
     span = max(8.0 * eps * eps, 1e-5)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -30,7 +29,7 @@ from .canard import (
     angular_canard_value,
     canard_control_series,
     union_jack_anchor_residual,
-    union_jack_c0,
+    union_jack_connection,
 )
 from .resonance import ResonanceCase, condition_check, riccati_leading_check, z0_polynomial
 
@@ -203,13 +202,13 @@ def _cmd_gevrey(args) -> int:
 
 def _cmd_canard(args) -> int:
     if args.problem == "unionjack":
-        c0 = union_jack_c0(tol=args.tol, mirror=args.mirror)
+        res = union_jack_connection(tol=args.tol, mirror=args.mirror)
         doc = {
-            "value": c0,
-            "iterations": int(math.ceil(math.log2(1.0 / args.tol))),
+            "value": res.value,
+            "iterations": res.evaluations,
             "residuals": {
-                "bracket": args.tol,
-                "anchor": union_jack_anchor_residual(c0),
+                "mismatch": res.mismatch,
+                "anchor": union_jack_anchor_residual(res.value),
             },
         }
     elif args.problem == "angular":

@@ -1,10 +1,13 @@
 """Canard-value tests: the connection constant, the angular value curve,
 and the control series against closed-form moment oracles."""
 
+import math
 import random
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 from scipy.special import gamma
 
 from cae.errors import SeriesError
@@ -16,34 +19,52 @@ from cae.canard import (
     reduced_anchor_residual,
     union_jack_anchor_residual,
     union_jack_c0,
+    union_jack_connection,
     union_jack_rhs,
     _uj_anchor,
+    _uj_mismatch,
 )
 from cae.special import gauss_moment
 from cae.turning import ODESpec, UnsupportedExpansionError, control_expansion
 
 KNOWN_C0 = 0.3621759411  # reference connection constant, 10 digits
+KNOWN_C0_14 = 0.36217594111186  # the same to 14 digits
+
+
+@pytest.fixture(scope="module")
+def c0_at_floor_tol():
+    return union_jack_c0(tol=1e-12)
 
 
 class TestUnionJack:
     def test_connection_constant(self):
-        c0 = union_jack_c0(tol=1e-8)
-        assert c0 == pytest.approx(KNOWN_C0, abs=1e-6)
+        res = union_jack_connection(tol=1e-8)
+        assert res.value == pytest.approx(KNOWN_C0, abs=1e-6)
+        assert abs(res.value - KNOWN_C0_14) <= 1e-8
+        assert res.evaluations <= 10
+        assert res.mismatch == abs(_uj_mismatch(res.value))
 
     def test_zero_control_stays_below(self):
-        from cae.canard import _uj_classify
+        # the shooting mismatch Y_fwd(0) - Y_bwd(0) changes sign across the
+        # brentq brackets: [0, 1/2], and [-1/2, 0] for the mirror problem
+        assert _uj_mismatch(0.0) < 0 < _uj_mismatch(0.5)
+        assert _uj_mismatch(-0.5, s=-1.0) < 0 < _uj_mismatch(0.0, s=-1.0)
 
-        assert _uj_classify(0.0, 10.0, mirror=False) is False
-
-    def test_mirror_value(self):
-        c0 = union_jack_c0(tol=1e-7)
+    def test_mirror_value(self, c0_at_floor_tol):
         cm = union_jack_c0(tol=1e-7, mirror=True)
-        assert cm == pytest.approx(-c0, abs=2e-7)
+        assert cm == pytest.approx(-c0_at_floor_tol, abs=2e-7)
 
-    def test_x_far_independence(self):
-        a = union_jack_c0(tol=1e-8, X_far=10.0)
-        b = union_jack_c0(tol=1e-8, X_far=16.0)
-        assert abs(a - b) < 1e-8
+    def test_floor_tolerance_reference(self, c0_at_floor_tol):
+        assert abs(c0_at_floor_tol - KNOWN_C0_14) < 1e-12
+
+    def test_x_far_independence(self, c0_at_floor_tol):
+        b = union_jack_c0(tol=1e-12, X_far=16.0)
+        assert abs(c0_at_floor_tol - b) < 1e-12
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-8, 1e-13])
+    def test_bad_tolerance_rejected(self, tol):
+        with pytest.raises(SeriesError):
+            union_jack_c0(tol=tol)
 
     def test_anchor_residual(self):
         assert union_jack_anchor_residual(KNOWN_C0) < 1e-8
@@ -86,6 +107,43 @@ class TestAngular:
     def test_branch_validity_guard(self):
         with pytest.raises(SeriesError):
             angular_canard_value(0.3)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+    def test_non_finite_eps_rejected(self, eps):
+        with pytest.raises(SeriesError):
+            angular_canard_value(eps)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-8, 1e-13])
+    def test_bad_tolerance_rejected(self, tol):
+        with pytest.raises(SeriesError):
+            angular_canard_value(0.02, tol=tol)
+
+    def test_independent_residual_root(self):
+        # V' = T V + V^2 + D decays at +infinity like sum_m w_m T^-m (m odd,
+        # w_1 = -D); matching powers of T gives w_m = -(m-2) w_{m-2} -
+        # sum_{i+j=m-1} w_i w_j.  Anchor 8 terms deep at T = 8 and shoot
+        # to 0 with a tighter DOP853 than the library's.
+        def v0(D):
+            w = [0.0, -D]
+            for m in range(3, 17, 2):
+                conv = sum(w[i] * w[m - 1 - i] for i in range(1, m - 1, 2))
+                w += [0.0, -(m - 2) * w[m - 2] - conv]
+            v8 = sum(wm * 8.0 ** -m for m, wm in enumerate(w) if m % 2)
+            sol = solve_ivp(lambda T, v: T * v + v * v + D, (8.0, 0.0), [v8],
+                            method="DOP853", rtol=2.5e-14, atol=1e-16)
+            assert sol.success
+            return sol.y[0, -1]
+
+        def residual(c, eps=0.02):
+            total = 0.0
+            for e in (eps, -eps):
+                root = math.sqrt(1.0 + 4.0 * e)  # gamma^2 = 1 + 2 d
+                d = 2.0 * e / (1.0 + root)  # d + d^2 = e
+                total += math.sqrt(root) * v0((c - d) / root)
+            return total
+
+        ref = brentq(residual, -2e-3, -5e-4, xtol=1e-15, rtol=1e-15)
+        assert abs(angular_canard_value(0.02) - ref) < 1e-10
 
 
 class TestControlSeries:

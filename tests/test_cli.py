@@ -101,6 +101,32 @@ class TestOutputs:
         assert out["grading"] == "eta"
         assert out["alphas"][2] == pytest.approx(-0.5, abs=1e-12)
 
+    def test_canard_unionjack_measured_diagnostics(self, capsys):
+        rc = main(["canard", "unionjack", "--tol", "1e-3"])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert set(out) == {"value", "iterations", "residuals"}
+        assert set(out["residuals"]) == {"mismatch", "anchor"}
+        assert abs(out["value"] - 0.36217594111186) <= 1e-3
+        # the two bracket ends and at least one interior mismatch evaluation
+        assert isinstance(out["iterations"], int)
+        assert 3 <= out["iterations"] <= 10
+        assert 0 <= out["residuals"]["mismatch"] < 1e-2
+        assert out["residuals"]["anchor"] < 1e-6
+
+    @pytest.mark.parametrize("argv", [
+        ["unionjack", "--tol", "nan"],
+        ["unionjack", "--tol", "inf"],
+        ["unionjack", "--tol", "1e-13"],
+        ["angular", "--tol", "nan"],
+        ["angular", "--eps", "nan"],
+    ])
+    def test_canard_bad_numbers_exit_1(self, argv, capsys):
+        rc = main(["canard"] + argv)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ")
+
     def test_canard_angular(self, capsys):
         rc = main(["canard", "angular", "--eps", "0.02", "--tol", "1e-10"])
         out = json.loads(capsys.readouterr().out)
