@@ -212,7 +212,17 @@ def angular_canard_value(eps: float, tol: float = 1e-10,
 
     span = max(8.0 * eps * eps, 1e-5)
     lo, hi = -span, span
-    flo, fhi = F(lo), F(hi)
+    flo = F(lo)
+    for _ in range(60):
+        # near |eps| = 1/4 the upper end drives V_d into blowup; the root
+        # lies below that region, so pull the end toward the lower one
+        try:
+            fhi = F(hi)
+            break
+        except BlowupError:
+            hi = 0.5 * (lo + hi)
+    else:
+        raise SeriesError("could not bracket the angular canard value")
     grow = 0
     while flo * fhi > 0:
         lo, hi = 2 * lo, 2 * hi
@@ -220,7 +230,9 @@ def angular_canard_value(eps: float, tol: float = 1e-10,
         grow += 1
         if grow > 30:
             raise SeriesError("could not bracket the angular canard value")
-    return float(optimize.brentq(F, lo, hi, xtol=tol, rtol=1e-15))
+    # c ~ -2.7 eps^2, so an absolute tol alone would swamp it at tiny eps
+    xtol = min(tol, 1e-3 * eps * eps)
+    return float(optimize.brentq(F, lo, hi, xtol=xtol, rtol=1e-15))
 
 
 # ---------------------------------------------------------------------------

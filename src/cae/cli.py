@@ -10,6 +10,7 @@ File formats are documented in docs/formats.md.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -140,11 +141,15 @@ def _truth_for(spec: ODESpec, series: CombinedSeries, sigma: int, x_grid):
         return truth
 
     edge = min(x_grid) - 0.25 if sigma < 0 else max(x_grid) + 0.25
+    far = max(x_grid) if sigma < 0 else min(x_grid)
 
-    def truth(x, eps):
-        eta = eps ** (1.0 / spec.p)
-        x0 = edge
-        y0 = evaluate_partial_sum(series, x0, eta)
+    @functools.cache
+    def trajectory(eps):
+        """One solve per eps across the whole grid, launched from the
+        series value beyond the grid edge; tol 1e-12 because the grid is
+        read from the dense interpolant, which is less accurate than the
+        step ends."""
+        y0 = evaluate_partial_sum(series, edge, eps ** (1.0 / spec.p))
 
         def rhs(t, y):
             val = spec.p * t ** (spec.p - 1) * y
@@ -154,8 +159,13 @@ def _truth_for(spec: ODESpec, series: CombinedSeries, sigma: int, x_grid):
                 val += float(c) * t ** j * y ** (k + 1) * eps ** l
             return val / eps
 
-        tr = ode_solve(rhs, (x0, x), y0, tol=1e-11)
-        return tr.final
+        return ode_solve(rhs, (edge, far), y0, tol=1e-12)
+
+    def truth(x, eps):
+        tr = trajectory(eps)
+        if tr.blowup and sigma * (x - tr.t_blow) < 0:
+            return tr.final  # x lies past the blowup
+        return tr(x)
 
     return truth
 

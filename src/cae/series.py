@@ -483,8 +483,8 @@ class BasisTerm:
     def __call__(self, X):
         from . import special
 
-        if self.kind == "u":
-            return self.coef * special.eval_u(self.p, self.k, self.sigma, X)
+        if self.kind == "u":  # elementwise on arrays
+            return float(self.coef) * special.eval_u(self.p, self.k, self.sigma, X)
         if self.kind == "exp_poly":
             return self.coef * math.exp(-float(X) ** self.p) * self.poly(X)
         if self.kind == "dawson":

@@ -6,8 +6,9 @@ exponential growth on the sigma half-line of
     dU/dX = p X**(p-1) U + X**(k-1),        p even, 1 <= k <= p-1,
 
 together with the operator that maps a polynomial-growth forcing v to the
-analogous solution of dU/dX = p X**(p-1) U + v(X).  Values come from a
-stable integral form (p = 2 has closed forms via erfcx); formal tails at
+analogous solution of dU/dX = p X**(p-1) U + v(X).  Values of U_k are
+closed forms in incomplete gamma functions (erfcx when p = 2); the flow map
+steps the explicit solution of the equation over a grid; formal tails at
 infinity come from the fixed-point inversion of the equation.
 """
 
@@ -21,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import integrate
 from scipy.interpolate import CubicSpline
-from scipy.special import erfcx, gamma as _gamma
+from scipy.special import erfcx, gamma as _gamma, gammainc, gammaincc
 
 from ._scalar import is_exact
 from .errors import (
@@ -31,7 +32,7 @@ from .errors import (
     InsufficientTailError,
     SeriesError,
 )
-from .series import AsymTail, FastFn, TaylorPoly
+from .series import AsymTail, TaylorPoly
 
 EXP_CAP = 700.0  # |X|**p beyond this would overflow exp() in double precision
 _QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=200)
@@ -251,74 +252,65 @@ def u_tail(p: int, k: int, depth: int = 16) -> InfSeries:
 # values of U_k^sigma
 
 
-def eval_u(p: int, k: int, sigma: int, X, tol: float = 1e-13) -> float:
-    """Value of U_k^sigma(X) = e^{X^p} * integral_{sigma*inf}^X e^{-T^p} T^(k-1) dT.
+_GL_NODES, _GL_WEIGHTS = np.polynomial.laguerre.laggauss(32)
 
-    Within the decay side the integral is evaluated in the stable shifted
-    form (closed form via erfcx when p = 2); far out on the decay side the
-    asymptotic tail takes over once its remainder bound is below ``tol``.
-    Values on the growth side carry an e^{|X|^p} factor and are refused
-    beyond the overflow guard.
+
+def _exp_gamma_upper(a: float, x: np.ndarray) -> np.ndarray:
+    """e^x Gamma(a, x) for x >= 0: the regularized form up to EXP_CAP and,
+    beyond it, 32-point Gauss-Laguerre on x^(a-1) int_0^inf e^-s
+    (1 + s/x)^(a-1) ds, which cannot overflow."""
+    out = np.empty_like(x)
+    big = x > EXP_CAP
+    xs = x[~big]
+    out[~big] = np.exp(xs) * gammaincc(a, xs) * _gamma(a)
+    if big.any():
+        xb = x[big]
+        ratio = 1.0 + _GL_NODES[:, None] / xb
+        out[big] = xb ** (a - 1.0) * (_GL_WEIGHTS @ ratio ** (a - 1.0))
+    return out
+
+
+def eval_u(p: int, k: int, sigma: int, X):
+    """Value of U_k^sigma(X) = e^{X^p} * integral_{sigma*inf}^X e^{-T^p} T^(k-1) dT,
+    elementwise for an array X (a float for a scalar).
+
+    With x = |X|^p and a = k/p the values are incomplete gamma functions
+    (DLMF 8.2): U_k^-(X <= 0) = (-1)^(k-1) e^x Gamma(a, x)/p and
+    U_k^+(X >= 0) = -e^x Gamma(a, x)/p; p = 2 uses erfcx.  For even k the
+    integrand is odd, U_k^- = U_k^+ = -e^x Gamma(a, x)/p on the whole line.
+    For odd k the growth side adds the full moment,
+    -sigma e^x Gamma(a) (1 + P(a, x))/p, and is refused once x passes the
+    overflow guard.
     """
     _check_p(p)
     if not 1 <= k <= p - 1:
         raise SeriesError(f"k={k} outside 1..{p - 1}")
     if sigma not in (-1, 1):
         raise SeriesError("sigma must be -1 or +1")
-    X = float(X)
-
+    X = float(X) if np.ndim(X) == 0 else np.asarray(X, dtype=float)
+    scalar = isinstance(X, float)  # plain-float checks keep scalar calls cheap
+    if not (math.isfinite(X) if scalar else np.isfinite(X).all()):
+        raise SeriesError(f"U_{k} needs a finite X, got {X}")
+    x = abs(X) ** p
+    growth = (sigma * X < 0) & bool(k % 2)
+    over = growth & (x > EXP_CAP)
+    if over if scalar else over.any():
+        bad = np.asarray(X)[np.asarray(over)].flat[0]
+        raise ExponentCapError(
+            f"U_{k}^{'-' if sigma < 0 else '+'}({bad}) ~ exp(|X|^{p}) overflows"
+        )
     if p == 2:
         # U^- = (sqrt(pi)/2) erfcx(-X),  U^+ = -(sqrt(pi)/2) erfcx(X)
-        z = -X if sigma < 0 else X
-        if z < 0 and z * z > EXP_CAP:
-            raise ExponentCapError(
-                f"U_1^{'-' if sigma < 0 else '+'}({X}) ~ exp(X^2) overflows"
-            )
-        val = 0.5 * math.sqrt(math.pi) * float(erfcx(z))
-        return val if sigma < 0 else -val
-
-    if sigma * X >= 0:
-        # decay side: try the asymptotic tail first
-        t = u_tail(p, k)
-        if abs(X) > 1.0:
-            terms = sorted(t.coeffs.items())
-            est = 0.0
-            last_m = max(t.coeffs, default=0)
-            if last_m:
-                est = 2 * abs(float(t.coeffs[last_m])) * abs(X) ** (-(last_m + 1))
-            ssum = t.partial_sum(X)
-            if est < tol * max(1.0, abs(ssum)) and est < tol:
-                return ssum
-        # stable shifted quadrature
-        s_ = 1.0 if sigma < 0 else -1.0  # T = X + s_*(-s)
-
-        def f(s):
-            T = X - s if sigma < 0 else X + s
-            return math.exp(X ** p - T ** p) * T ** (k - 1)
-
-        val, _err = integrate.quad(f, 0.0, np.inf, **_QUAD_OPTS)
-        return val if sigma < 0 else -val
-
-    # growth side: continuation across 0 with the exponential factor
-    if abs(X) ** p > EXP_CAP:
-        raise ExponentCapError(
-            f"U_{k}^{'-' if sigma < 0 else '+'}({X}) ~ exp(|X|^p) overflows"
-        )
-    c0 = _gamma(k / p) / p
-    base = (-1) ** (k - 1) * c0 if sigma < 0 else -c0
-
-    def g(T):
-        return math.exp(-T ** p) * T ** (k - 1)
-
-    inner, _err = integrate.quad(g, 0.0, X, **_QUAD_OPTS)
-    return math.exp(X ** p) * (base + inner)
-
-
-def u_fastfn(p: int, k: int, sigma: int, coef=1, depth: int = 12) -> FastFn:
-    """U_k^sigma wrapped as an evaluable fast coefficient."""
-    from .series import BasisTerm
-
-    return FastFn.from_basis([BasisTerm("u", p, k, sigma, coef)], depth=depth)
+        val = -sigma * (0.5 * math.sqrt(math.pi) * erfcx(sigma * X))
+    else:
+        a = k / p
+        x, growth = np.atleast_1d(x, growth)
+        val = np.empty_like(x)
+        val[~growth] = _exp_gamma_upper(a, x[~growth])
+        xg = x[growth]
+        val[growth] = np.exp(xg) * _gamma(a) * (1.0 + gammainc(a, xg))
+        val = val.reshape(np.shape(X)) * ((-sigma if k % 2 else -1) / p)
+    return float(val) if scalar else val
 
 
 # ---------------------------------------------------------------------------
@@ -342,38 +334,38 @@ def gauss_moment(p: int, j: int, eps: float = 1.0) -> float:
 
 @dataclass(frozen=True)
 class RayFn:
-    """Evaluable function on (part of) a half-line, with bookkeeping.
+    """Evaluable function on (part of) a half-line.
 
-    ``fn``/``dfn`` evaluate the function and its derivative on ``domain``;
-    ``tail`` is the formal expansion at sigma * infinity; ``growth`` the
-    declared polynomial growth degree.
+    ``fn``/``dfn`` evaluate the function and its derivative on ``domain``,
+    elementwise on arrays; ``tail`` is the formal expansion at
+    sigma * infinity.
     """
 
     sigma: int
-    x_min: float
     fn: Callable
     domain: tuple
-    growth: int = 0
     tail: Optional[InfSeries] = None
     dfn: Optional[Callable] = None
 
+    def _eval(self, f, X):
+        lo, hi = self.domain
+        Xa = np.asarray(X, dtype=float)
+        if not ((lo - 1e-12 <= Xa) & (Xa <= hi + 1e-12)).all():
+            raise DomainError(f"X={X} outside [{lo}, {hi}]")
+        out = np.reshape(f(Xa.ravel()), Xa.shape)
+        return float(out) if out.ndim == 0 else out
+
     def __call__(self, X):
-        if not (self.domain[0] - 1e-12 <= X <= self.domain[1] + 1e-12):
-            raise DomainError(
-                f"X={X} outside [{self.domain[0]}, {self.domain[1]}]"
-            )
-        return float(self.fn(X))
+        return self._eval(self.fn, X)
 
     def derivative(self, X):
         if self.dfn is None:
             raise DomainError("no derivative data attached")
-        return float(self.dfn(X))
+        return self._eval(self.dfn, X)
 
 
-def _as_callable(v):
-    if isinstance(v, RayFn):
-        return v.fn if v.dfn is None else v
-    return v
+_GAUSS_T, _GAUSS_W = np.polynomial.legendre.leggauss(8)
+_MAX_DROP = 3.0  # largest exponent drop e^(-drop) one 8-point panel integrates
 
 
 def apply_j(
@@ -384,31 +376,36 @@ def apply_j(
     X_far: Optional[float] = None,
     depth: int = 16,
     grid_n: int = 2048,
-    rtol: float = 1e-11,
     extend_to: float = 0.0,
 ) -> RayFn:
     """Unique polynomial-growth solution of dU/dX = p X**(p-1) U + v(X)
     on the sigma side.
 
     The solution is anchored at sigma*X_far with its asymptotic tail and
-    integrated inward (the direction in which the homogeneous mode decays,
-    so anchor error washes out), sampled on a dense grid with a cubic
-    spline for dense evaluation.  ``extend_to`` >= 0 continues past the
-    origin onto the growth side (accuracy degrades with exp(X**p)).
+    carried inward over a grid of ``grid_n`` points by the explicit
+    solution of the flow,
 
-    v may be a RayFn (its ``tail`` supplies the formal part), a plain
-    callable with ``v_series`` given, or a constant.
+        U_{i+1} = e^{X_{i+1}^p - X_i^p} U_i
+                  + integral_{X_i}^{X_{i+1}} e^{X_{i+1}^p - T^p} v(T) dT,
+
+    whose factors are at most 1 on the way in (anchor error washes out).
+    Each cell integral is 8-point Gauss-Legendre, on as many panels as keep
+    the exponent drop per panel at most 3; v is called once, on the array
+    of all nodes (a scalar result broadcasts).  A cubic spline through the
+    grid values gives dense evaluation.  ``extend_to`` >= 0 continues past
+    the origin onto the growth side (accuracy degrades with exp(X**p)).
+
+    v may be a RayFn (its ``tail`` supplies the formal part), a callable
+    with ``v_series`` given, or a constant.
     """
     _check_p(p)
     if sigma not in (-1, 1):
         raise SeriesError("sigma must be -1 or +1")
     if X_far is None:
         X_far = 8.0 if p == 2 else 6.0
-    if isinstance(v, RayFn):
-        if v_series is None:
-            v_series = v.tail
-        v_fn = v.fn
-    elif callable(v):
+    if isinstance(v, RayFn) and v_series is None:
+        v_series = v.tail
+    if callable(v):
         v_fn = v
     else:  # constant
         c = float(v)
@@ -420,31 +417,34 @@ def apply_j(
 
     u_series = tail_of_j_series(p, v_series, depth)
     x0 = sigma * X_far
-    u0 = u_series.partial_sum(x0)
+    xs = np.linspace(x0, -sigma * abs(extend_to), grid_n)
+    pw = xs ** p
+    # panels: cell i is split into m_i equal parts
+    m = np.maximum(1, np.ceil(np.abs(np.diff(pw)) / _MAX_DROP)).astype(int)
+    cell = np.repeat(np.arange(grid_n - 1), m)
+    part = np.arange(cell.size) - np.repeat(np.cumsum(m) - m, m)
+    h = (xs[1] - xs[0]) / m[cell]
+    lo = xs[cell] + part * h
+    nodes = lo[:, None] + (0.5 * h)[:, None] * (1.0 + _GAUSS_T)
+    vals = np.broadcast_to(np.asarray(v_fn(nodes), dtype=float), nodes.shape)
+    weighted = np.exp(pw[cell + 1][:, None] - nodes ** p) * vals
+    panel = 0.5 * h * (weighted @ _GAUSS_W)
+    forced = np.bincount(cell, weights=panel, minlength=grid_n - 1)
+    decay = np.exp(np.diff(pw))
 
-    def rhs(X, y):
-        return [p * X ** (p - 1) * y[0] + float(v_fn(X))]
-
-    x_end = -sigma * abs(extend_to)
-    xs = np.linspace(x0, x_end, grid_n)
-    sol = integrate.solve_ivp(
-        rhs, (x0, x_end), [u0], method="RK45", t_eval=xs,
-        rtol=rtol, atol=1e-14, max_step=abs(x0 - x_end) / 50.0,
-    )
-    if not sol.success:
-        raise BlowupError(f"flow integration failed: {sol.message}",
-                          where=sol.t[-1] if len(sol.t) else x0)
-    order = np.argsort(sol.t)
-    spline = CubicSpline(sol.t[order], sol.y[0][order])
-    dspline = spline.derivative()
-    lo, hi = (min(x0, x_end), max(x0, x_end))
+    us = [u_series.partial_sum(x0)]
+    for d, f in zip(decay.tolist(), forced.tolist()):
+        us.append(d * us[-1] + f)
+    us = np.array(us)
+    if not np.isfinite(us).all():
+        raise BlowupError("flow values overflowed",
+                          where=float(xs[np.argmin(np.isfinite(us))]))
+    spline = CubicSpline(xs[::-sigma], us[::-sigma])  # ascending knots
     return RayFn(
         sigma=sigma,
-        x_min=0.0,
-        fn=lambda X: float(spline(X)),
-        dfn=lambda X: float(dspline(X)),
-        domain=(lo, hi),
-        growth=max(0, u_series.top_degree),
+        fn=spline,
+        dfn=spline.derivative(),
+        domain=(min(xs[0], xs[-1]), max(xs[0], xs[-1])),
         tail=u_series,
     )
 

@@ -16,10 +16,11 @@ obstruction reported by ``dac_feasibility``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
+
+import numpy as np
 
 from ._scalar import is_exact, scalar_from_json, scalar_to_json
 from .errors import (
@@ -318,11 +319,13 @@ class InnerCoeff:
         return InfSeries.from_poly_tail(self.poly, self.tail)
 
     def __call__(self, X):
-        if self.basis is not None:
-            return float(self.poly(X)) + math.fsum(float(t(X)) for t in self.basis)
+        """W_n(X), elementwise for an array X."""
         if self.ray is not None:
             return self.ray(X)
-        raise SeriesError(f"inner order {self.order} has no evaluator")
+        if self.basis is None:
+            raise SeriesError(f"inner order {self.order} has no evaluator")
+        val = self.poly.to_float()(X) + sum(t(X) for t in self.basis)
+        return float(val) if np.ndim(val) == 0 else val
 
     def fast_part(self) -> FastFn:
         """W_n minus its polynomial part, as an evaluable fast coefficient."""
@@ -466,13 +469,13 @@ def inner_expansion(
             continue
         factors = [[solved[i] for i in combo] for (_, _, combo) in extra_terms]
 
-        def v_fn(X, g_poly=g_poly, extra=extra_terms, facs=factors):
-            val = float(g_poly(X))
+        def v_fn(X, g_poly=g_poly.to_float(), extra=extra_terms, facs=factors):
+            val = g_poly(X)
             for (c, j, _), fl in zip(extra, facs):
                 prod = float(c) * X ** j
                 for f in fl:
-                    prod *= f(X)
-                val += prod
+                    prod = prod * f(X)
+                val = val + prod
             return val
 
         v_formal = InfSeries.from_poly_tail(g_poly, AsymTail((), complete=True))
@@ -552,9 +555,8 @@ def _reduced_nonlinear_leading(spec: ODESpec, sigma: int, X_far=None,
         )
     dense = sol.sol
     poly_part, tail = u.to_poly_tail()
-    ray = RayFn(sigma=sigma, x_min=0.0, fn=lambda X: float(dense(X)[0]),
-                domain=(min(x0, 0.0), max(x0, 0.0)),
-                growth=max(0, u.top_degree), tail=u)
+    ray = RayFn(sigma=sigma, fn=lambda X: dense(X)[0],
+                domain=(min(x0, 0.0), max(x0, 0.0)), tail=u)
     return InnerCoeff(order=r, sigma=sigma, poly=poly_part.to_float(),
                       tail=tail.to_float(), ray=ray)
 

@@ -119,31 +119,50 @@ class TestAngular:
             angular_canard_value(0.02, tol=tol)
 
     def test_independent_residual_root(self):
-        # V' = T V + V^2 + D decays at +infinity like sum_m w_m T^-m (m odd,
-        # w_1 = -D); matching powers of T gives w_m = -(m-2) w_{m-2} -
-        # sum_{i+j=m-1} w_i w_j.  Anchor 8 terms deep at T = 8 and shoot
-        # to 0 with a tighter DOP853 than the library's.
-        def v0(D):
-            w = [0.0, -D]
-            for m in range(3, 17, 2):
-                conv = sum(w[i] * w[m - 1 - i] for i in range(1, m - 1, 2))
-                w += [0.0, -(m - 2) * w[m - 2] - conv]
-            v8 = sum(wm * 8.0 ** -m for m, wm in enumerate(w) if m % 2)
-            sol = solve_ivp(lambda T, v: T * v + v * v + D, (8.0, 0.0), [v8],
-                            method="DOP853", rtol=2.5e-14, atol=1e-16)
-            assert sol.success
-            return sol.y[0, -1]
-
-        def residual(c, eps=0.02):
-            total = 0.0
-            for e in (eps, -eps):
-                root = math.sqrt(1.0 + 4.0 * e)  # gamma^2 = 1 + 2 d
-                d = 2.0 * e / (1.0 + root)  # d + d^2 = e
-                total += math.sqrt(root) * v0((c - d) / root)
-            return total
-
-        ref = brentq(residual, -2e-3, -5e-4, xtol=1e-15, rtol=1e-15)
+        ref = brentq(_independent_residual, -2e-3, -5e-4, xtol=1e-15, rtol=1e-15)
         assert abs(angular_canard_value(0.02) - ref) < 1e-10
+
+    @pytest.mark.parametrize("eps", [0.185, 0.2, 0.24])
+    def test_bracket_clear_of_blowup(self, eps):
+        # the first bracket end +8 eps^2 drives V_d into blowup here
+        c = angular_canard_value(eps)
+        lo, hi = (_independent_residual(c + s * 1e-7, eps) for s in (-1, 1))
+        assert lo * hi < 0
+        assert -6 * eps * eps < c < -2.5 * eps * eps
+
+    def test_root_tolerance_relative_at_tiny_eps(self):
+        # c(eps) ~ -2.693 eps^2; the default absolute tol 1e-8 of the CLI
+        # exceeds c itself below eps ~ 1e-4
+        assert angular_canard_value(1e-5, tol=1e-8) / 1e-10 == \
+            pytest.approx(-2.69315, abs=1e-4)
+        assert angular_canard_value(1e-7, tol=1e-8) / 1e-14 == \
+            pytest.approx(-2.693, abs=0.01)
+
+
+def _independent_residual(c, eps=0.02):
+    """The angular connection residual coded apart from the library.
+
+    V' = T V + V^2 + D decays at +infinity like sum_m w_m T^-m (m odd,
+    w_1 = -D); matching powers of T gives w_m = -(m-2) w_{m-2} -
+    sum_{i+j=m-1} w_i w_j.  Anchor 8 terms deep at T = 8 and shoot to 0
+    with a tighter DOP853 than the library's."""
+    def v0(D):
+        w = [0.0, -D]
+        for m in range(3, 17, 2):
+            conv = sum(w[i] * w[m - 1 - i] for i in range(1, m - 1, 2))
+            w += [0.0, -(m - 2) * w[m - 2] - conv]
+        v8 = sum(wm * 8.0 ** -m for m, wm in enumerate(w) if m % 2)
+        sol = solve_ivp(lambda T, v: T * v + v * v + D, (8.0, 0.0), [v8],
+                        method="DOP853", rtol=2.5e-14, atol=1e-16)
+        assert sol.success
+        return sol.y[0, -1]
+
+    total = 0.0
+    for e in (eps, -eps):
+        root = math.sqrt(1.0 + 4.0 * e)  # gamma^2 = 1 + 2 d
+        d = 2.0 * e / (1.0 + root)  # d + d^2 = e
+        total += math.sqrt(root) * v0((c - d) / root)
+    return total
 
 
 class TestControlSeries:

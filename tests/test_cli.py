@@ -5,10 +5,13 @@ import json
 import pytest
 
 from cae.cli import main
+from cae.validate import ode_solve
 
 EX1 = {"p": 2, "h": [{"j": 0, "l": 0, "c": 1}, {"j": 1, "l": 0, "c": 1}]}
 E1 = {"p": 4, "h": [{"j": 0, "l": 0, "c": -4}],
       "P": [{"j": 1, "k": 1, "l": 0, "c": -1}], "r": 1}
+NL = {"p": 2, "h": [{"j": 0, "l": 0, "c": 1.0}],  # strictly quasi-homogeneous
+      "P": [{"j": 1, "k": 1, "l": 0, "c": -0.5}]}
 
 
 def write_spec(tmp_path, doc, name="spec.json"):
@@ -78,6 +81,14 @@ class TestOutputs:
         assert all(a > b for a, b in zip(diffs, diffs[1:]))
         assert float(rows[2][1]) == pytest.approx(0.0497537, abs=1e-7)
 
+    @pytest.mark.parametrize("x", ["nan", "inf"])
+    def test_special_non_finite_exits_1(self, x, capsys):
+        rc = main(["special", "U", "--p", "2", "--x", x])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert "finite" in captured.err
+
     def test_gevrey_fit_csv(self, tmp_path, capsys):
         from scipy.special import gamma
 
@@ -146,6 +157,27 @@ class TestOutputs:
         last = lines[-1].split(",")
         assert last[0] == "2"
         assert float(last[3]) == pytest.approx(2.0, abs=0.05)
+
+
+    def test_validate_nonlinear_one_solve_per_eps(self, tmp_path, monkeypatch):
+        spec = write_spec(tmp_path, NL)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return ode_solve(*args, **kwargs)
+
+        monkeypatch.setattr("cae.cli.ode_solve", counting)
+        out_path = tmp_path / "table.csv"
+        rc = main(["validate", "--spec", spec, "--orders", "2,3,4",
+                   "--eps", "0.1,0.05,0.025,0.0125", "--xgrid", "-0.5:0:8",
+                   "--out", str(out_path)])
+        assert rc == 0
+        # each trajectory spans the grid from beyond its outer edge
+        assert calls == [(-0.75, 0.0)] * 4
+        rows = [l.split(",") for l in out_path.read_text().splitlines()[1:]]
+        slopes = {int(r[0]): float(r[3]) for r in rows if r[3]}
+        assert all(slopes[n] >= n - 0.3 for n in (2, 3, 4))
 
 
 class TestDeterminism:

@@ -89,6 +89,75 @@ class TestEvalU:
         with pytest.raises(SeriesError):
             eval_u(4, 4, -1, 0.0)
 
+    @pytest.mark.parametrize("X", [math.nan, math.inf, -math.inf,
+                                   np.array([-1.0, math.nan])])
+    def test_non_finite_rejected(self, X):
+        for p in (2, 4):
+            with pytest.raises(SeriesError):
+                eval_u(p, 1, -1, X)
+
+    @pytest.mark.parametrize("p", [4, 6])
+    def test_mpmath_oracle(self, p):
+        # the defining integral at 20 digits, split into one-signed pieces
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp
+
+        def oracle(k, sigma, X):
+            X = mpmath.mpf(X)
+            x = abs(X) ** p
+            if k % 2 == 0 and sigma * X < 0:
+                # odd integrand: its full-line integral vanishes, so
+                # U_k^sigma = U_k^-sigma, on whose decay side X lies
+                sigma = -sigma
+            layer = [mpmath.mpf(0)] + [4 ** i / (p * abs(X) ** (p - 1) + 1)
+                                       for i in range(7)]
+            if sigma * X >= 0:
+                T = lambda s: X + sigma * s
+                return -sigma * mp.quad(
+                    lambda s: mp.exp(x - T(s) ** p) * T(s) ** (k - 1),
+                    layer + [mp.inf])
+            # odd k past 0: the moment and the segment 0..X add up
+            moment = mp.quad(lambda s: mp.exp(-s ** p) * s ** (k - 1),
+                             [0, 1, mp.inf])
+            seg = sorted([abs(X) - t for t in layer if t < abs(X)] + [0])
+            rise = mp.quad(lambda s: mp.exp(x - s ** p) * s ** (k - 1), seg)
+            return -sigma * (mp.exp(x) * moment + rise)
+
+        edge = special.EXP_CAP ** (1 / p) * (1 - 1e-9)
+        # both sides up to the exponent cap, and the decay side beyond it
+        grid = list(np.linspace(-edge, edge, 9)) + [-1.5 * edge, 1.5 * edge]
+        for k in range(1, p):
+            for sigma in (-1, 1):
+                for X in grid:
+                    if k % 2 and sigma * X < -edge:
+                        continue
+                    with mpmath.workdps(20):
+                        want = float(oracle(k, sigma, X))
+                    got = eval_u(p, k, sigma, X)
+                    assert got == pytest.approx(want, rel=1e-12), (k, sigma, X)
+
+    def test_even_k_growth_side(self):
+        # U_2^-(2) at p = 6 = -e^64 int_2^inf e^(-T^6) T dT: no cancellation
+        X = 2.0
+        oracle, _ = integrate.quad(
+            lambda T: math.exp(X ** 6 - T ** 6) * T, X, math.inf,
+            epsabs=0, epsrel=1e-13)
+        assert eval_u(6, 2, -1, X) == pytest.approx(-oracle, rel=1e-11)
+        assert eval_u(6, 2, -1, X) == pytest.approx(eval_u(6, 2, 1, X), rel=1e-15)
+
+    @pytest.mark.parametrize("p", [2, 4, 6])
+    def test_arrays_match_scalars(self, p):
+        X = np.array([[-3.0, -1.1, 0.0], [0.4, 1.05, 2.5]])
+        for k in range(1, p):
+            for sigma in (-1, 1):
+                grid = X[np.abs(X) ** p < special.EXP_CAP]
+                got = eval_u(p, k, sigma, grid)
+                assert got.shape == grid.shape
+                assert got == pytest.approx([eval_u(p, k, sigma, x) for x in grid],
+                                            rel=1e-15)
+        with pytest.raises(ExponentCapError):
+            eval_u(4, 1, -1, np.array([-1.0, 6.0]))
+
 
 class TestTailOfJ:
     def test_v_one_p2(self):
@@ -154,6 +223,28 @@ class TestApplyJ:
         u = apply_j(2, 1, 1.0)
         for X in (3.0, 1.0):
             assert u(X) == pytest.approx(eval_u(2, 1, 1, X), abs=1e-8)
+
+    def test_forcing_called_once_on_node_array(self):
+        calls = []
+
+        def v(X):
+            calls.append(np.shape(X))
+            return 1.0 + X
+
+        u = apply_j(4, -1, v, v_series=InfSeries({0: 1, -1: 1}, None))
+        assert len(calls) == 1 and len(calls[0]) == 2
+        # 2047 cells, 8 Gauss-Legendre nodes each: at the default X_far no
+        # cell needs splitting
+        assert calls[0] == (2047, 8)
+        assert flow_residual(u, 4, v) < 1e-8
+
+    def test_steep_cells_split(self):
+        # p = 6 from X_far = 6: the exponent drops by up to ~136 per cell
+        for k in (1, 2, 5):
+            u = apply_j(6, -1, lambda X: X ** (k - 1),
+                        v_series=InfSeries({-(k - 1): 1}, None))
+            for X in (-5.5, -3.0, -1.0, -0.2):
+                assert u(X) == pytest.approx(eval_u(6, k, -1, X), abs=1e-10)
 
     def test_tail_consistency(self):
         # |U(X) - partial_M(X)| <= 2|next term| well beyond the crossover

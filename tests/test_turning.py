@@ -1,9 +1,12 @@
 """Turning-point engine tests: outer/inner recursions against exact
 oracles, feasibility diagnosis, matching assembly, closed forms."""
 
+import functools
+import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from scipy import integrate
 
@@ -206,6 +209,110 @@ class TestInnerExpansion:
 
         with pytest.raises(UnsupportedExpansionError):
             inner_expansion(tame, 3, -1)
+
+
+# W_n of strictly quasi-homogeneous nonlinear specs (sigma = -1, N = 6) at
+# nodes 256, 768, 1280, 1792 and 2047 of the 2048-point flow grid, as the
+# adaptive RK45 flow solve (rtol 1e-11) computed them before the flow was
+# stepped by its explicit solution
+_RK45_VALUES = (
+    (ODESpec(p=2, h={(0, 0): 1.0}, P={(1, 1, 0): -0.5}), {
+        2: (0.0012264524470496287, 0.002321323458063889, 0.0057630880499967485, 0.02471100434622423, 0.05365045915076759),
+        3: (4.214478046812311e-05, 0.00010800630532683662, 0.0004036727276154848, 0.002955033936319146, 0.007309807594279174),
+        4: (1.7973498019974525e-06, 6.202802223413245e-06, 3.444030420873587e-05, 0.00041757434478802125, 0.0011908780596501447),
+        5: (8.533774689285084e-08, 3.948713304113325e-07, 3.2247728661674564e-06, 6.343144288929026e-05, 0.00020843174882954104),
+    }),
+    (ODESpec(p=2, h={(0, 0): 1.0}, P={(2, 1, 0): 0.3}), {
+        3: (0.005201811132688999, 0.00709395006756008, 0.010872169186504533, 0.01915141696826321, 0.020395592305369456),
+        5: (0.0007654550306464057, 0.0010268728854686549, 0.0014995298045296437, 0.0021355736795025193, 0.0018886834609262535),
+    }),
+    (ODESpec(p=4, h={(1, 0): 1.0}, P={(3, 1, 0): 0.3}), {
+        4: (-6.155799324721136e-06, -2.3494655344893243e-05, -0.00017054343689267245, -0.0027842681604671386, -0.004023784436306088),
+    }),
+    (ODESpec(p=2, h={(0, 0): 1.0, (1, 0): 0.5}, P={(0, 1, 1): -0.5}), {
+        3: (-0.00017351556865141256, -0.0004559059094555265, -0.0018363820421822693, -0.019797668325936033, -0.15357142367819576),
+        4: (0.0012384935133758475, 0.0023645241532371042, 0.006031875204154989, 0.03038324772529035, 0.12499999999924083),
+        5: (-0.0022093454185877904, -0.0030626899464599082, -0.00492159900835891, -0.010205282344524292, 0.008389246943627027),
+    }),
+)
+_NODE_INDEX = [256, 768, 1280, 1792, 2047]
+
+
+def _nodes(p):
+    return np.linspace(-(8.0 if p == 2 else 6.0), 0.0, 2048)[_NODE_INDEX]
+
+
+def _inner_forcing(spec, inner, n):
+    """v_n of W_n' = p X^(p-1) W_n + v_n, composed point by point from the
+    spec and the computed lower orders (x = eta X, eps = eta^p)."""
+    p = spec.p
+
+    def W(i, X):
+        w = inner.coeff(i)
+        return 0.0 if w is None else w(X)
+
+    def v(X):
+        val = sum(float(c) * X ** j for (j, l), c in spec.h.items()
+                  if j + p * l + 1 == n)
+        for (j, k, l), c in spec.P.items():
+            q = n - (j + p * l + 1 - p)
+            for combo in itertools.product(range(q + 1), repeat=k + 1):
+                if sum(combo) == q:
+                    val += float(c) * X ** j * math.prod(W(i, X) for i in combo)
+        return val
+
+    return v
+
+
+class TestGridNativeFlow:
+    """Nonlinear inner orders stepped on the flow grid by the explicit
+    solution of U' = p X^(p-1) U + v."""
+
+    @pytest.mark.parametrize("spec, values", _RK45_VALUES)
+    def test_matches_rk45_values(self, spec, values):
+        inner = inner_expansion(spec, 6, -1)
+        for n, want in values.items():
+            got = inner.coeff(n)(_nodes(spec.p))
+            assert np.abs(got - np.array(want)).max() <= 1e-12, n
+
+    @pytest.mark.parametrize("spec", [_RK45_VALUES[2][0], _RK45_VALUES[3][0]])
+    def test_grid_refinement(self, spec, monkeypatch):
+        # a 16x finer grid contains the same nodes
+        coarse = inner_expansion(spec, 6, -1)
+        monkeypatch.setattr("cae.turning.apply_j",
+                            functools.partial(special.apply_j, grid_n=16 * 2047 + 1))
+        fine = inner_expansion(spec, 6, -1)
+        X = _nodes(spec.p)
+        for n in range(6):
+            w = coarse.coeff(n)
+            if w is not None and w.ray is not None:
+                assert np.abs(w(X) - fine.coeff(n)(X)).max() <= 1e-12, n
+
+    @pytest.mark.parametrize("spec", [s for s, _ in _RK45_VALUES])
+    def test_flow_residual_every_order(self, spec):
+        inner = inner_expansion(spec, 8, -1)
+        rays = [n for n in range(8) if inner.coeff(n) is not None
+                and inner.coeff(n).ray is not None]
+        assert rays
+        for n in rays:
+            v = _inner_forcing(spec, inner, n)
+            assert special.flow_residual(inner.coeff(n).ray, spec.p, v) <= 1e-8, n
+
+    def test_no_ode_solver_or_quadrature(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the inner orders must not call scipy here")
+
+        monkeypatch.setattr(integrate, "solve_ivp", refuse)
+        monkeypatch.setattr(integrate, "quad", refuse)
+        for spec, _values in _RK45_VALUES:
+            inner_expansion(spec, 6, -1)
+
+    def test_coefficients_evaluate_elementwise(self):
+        inner = inner_expansion(_RK45_VALUES[3][0], 6, -1)
+        X = np.linspace(-7.0, 0.0, 9)
+        for n in range(1, 6):
+            w = inner.coeff(n)
+            assert np.allclose(w(X), [w(x) for x in X], rtol=1e-14, atol=0)
 
 
 class TestMatching:
