@@ -5,8 +5,11 @@ point.
 The connection problems are solved by shooting: each branch is anchored on
 its tail at +-X_far and integrated toward X = 0 in the direction in which
 it attracts, and a smooth mismatch at X = 0 is driven to zero by brentq.
-Results are independent of X_far once the anchors sit in the asymptotic
-regime.
+Both branches of a problem run as one 2-vector system, one solve per
+mismatch evaluation.  Inward, an anchor error is damped like exp(-X^3/3)
+(Union Jack) or exp(-T^2/2) (angular), so with tails 8 terms deep the
+anchors sit close in, at X = 6 and T = 7, where the far field is only
+mildly stiff; results are independent of X_far beyond that.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .special import gauss_moment
 from .turning import ODESpec, UnsupportedExpansionError, _g_polynomials
 
 _TOL_FLOOR = 1e-12  # finest root tolerance; the solves run at rtol 1e-12
+_TAIL_TERMS = 8  # nonzero terms of both tail anchors
 
 
 # ---------------------------------------------------------------------------
@@ -32,7 +36,8 @@ _TOL_FLOOR = 1e-12  # finest root tolerance; the solves run at rtol 1e-12
 @dataclass(frozen=True)
 class ConnectionProblem:
     """A scalar connection problem dY/dX = rhs(X, Y) with a declared tail
-    anchor function and an additive control parameter baked into rhs."""
+    anchor function and an additive control parameter baked into rhs;
+    ``anchor_residual`` checks that the anchor solves the equation."""
 
     rhs: Callable
     anchor: Callable
@@ -46,18 +51,24 @@ class ConnectionProblem:
         der = (self.anchor(X0 + h) - self.anchor(X0 - h)) / (2 * h)
         return abs(der - self.rhs(X0, self.anchor(X0)))
 
-    def shoot(self, side: int) -> float:
-        """Y(0) of the solution through the anchor at X0 = side*X_far; the
-        anchored branch must attract on the way from X0 to 0."""
-        X0, rhs = side * self.X_far, self.rhs
-        sol = integrate.solve_ivp(
-            lambda X, y: [rhs(X, y[0])], (X0, 0.0), [self.anchor(X0)],
-            method="DOP853", rtol=1e-12, atol=1e-14,
-        )
-        if not sol.success:
-            raise BlowupError("shooting toward X = 0 failed",
-                              where=float(sol.t[-1]))
-        return float(sol.y[0][-1])
+
+def _shoot(rhs: Callable, X0: float, y0):
+    """The array y(0) of the system dy/dX = rhs(X, y) through y0 at X0:
+    one DOP853 solve; every component must attract on the way to 0."""
+    sol = integrate.solve_ivp(rhs, (X0, 0.0), y0, method="DOP853",
+                              rtol=1e-12, atol=1e-14)
+    if not sol.success:
+        raise BlowupError("shooting toward X = 0 failed",
+                          where=float(sol.t[-1]))
+    return sol.y[:, -1]
+
+
+def _power_sum(coeffs, u):
+    """sum_m coeffs[m] u^m, by Horner's rule."""
+    acc = 0.0
+    for cm in reversed(coeffs):
+        acc = acc * u + cm
+    return acc
 
 
 def _check_tol(tol: float) -> None:
@@ -70,15 +81,27 @@ def _check_tol(tol: float) -> None:
 # Union Jack connection constant
 
 
+def _uj_tail(c) -> list:
+    """Tail Y ~ sum_n a_n X^-n of the solution vanishing at -infinity.
+
+    Matching powers of X in X^2 Y = Y^3 + c - Y' gives a_0 = a_1 = 0 and
+    a_{k+2} = [k=0] c + (k-1) a_{k-1} + sum_{i+j+l=k} a_i a_j a_l, so only
+    n = 2 mod 3 survive.  Returns b_m = a_{3m+2} for m < ``_TAIL_TERMS``:
+    c, 2c, c^3 + 10c, 14c^3 + 80c, ..., by the same recursion in m,
+    b_m = [m=0] c + (3m-1) b_{m-1} + sum_{i+j+l=m-2} b_i b_j b_l.  Exact
+    for exact c.
+    """
+    b = []
+    for m in range(_TAIL_TERMS):
+        cube = sum(b[i] * b[j] * b[m - 2 - i - j]
+                   for i in range(m - 1) for j in range(m - 1 - i))
+        b.append((c if m == 0 else (3 * m - 1) * b[m - 1]) + cube)
+    return b
+
+
 def _uj_anchor(c, X):
-    """Tail of the solution vanishing at -inf: c/X^2 + 2c/X^5 +
-    (c^3 + 10c)/X^8 + (14c^3 + 80c)/X^11."""
-    return (
-        c / X ** 2
-        + 2 * c / X ** 5
-        + (c ** 3 + 10 * c) / X ** 8
-        + (14 * c ** 3 + 80 * c) / X ** 11
-    )
+    """sum_m b_m X^-(3m+2) over the tail of ``_uj_tail``."""
+    return _power_sum(_uj_tail(c), X ** -3) / X ** 2
 
 
 def _uj_growing_anchor(c, s, X):
@@ -92,23 +115,28 @@ def union_jack_rhs(X, Y, c):
     return Y * (Y - X) * (Y + X) + c
 
 
-def _uj_mismatch(c: float, X_far: float = 10.0, s: float = 1.0) -> float:
+def _uj_mismatch(c: float, X_far: float = 6.0, s: float = 1.0) -> float:
     """F(c) = Y_fwd(0) - Y_bwd(0): the solution vanishing at -infinity,
     shot forward from -X_far, against the branch growing like s*X, shot
-    backward from +X_far.  Both legs run in their stable direction."""
-    rhs = partial(union_jack_rhs, c=c)
-    fwd = ConnectionProblem(rhs, partial(_uj_anchor, c), X_far, c)
-    bwd = ConnectionProblem(rhs, partial(_uj_growing_anchor, c, s), X_far, c)
-    return fwd.shoot(-1) - bwd.shoot(+1)
+    backward from +X_far.  The backward leg is reflected, Z(X) =
+    Y_bwd(-X), so that both legs run forward on [-X_far, 0] as one
+    system; the right-hand side is even in X, so Z' = -rhs(X, Z)."""
+    def rhs(X, y):
+        y_fwd, z = y.tolist()  # float arithmetic beats numpy on 2-vectors
+        return [union_jack_rhs(X, y_fwd, c), -union_jack_rhs(X, z, c)]
+
+    y0 = [_uj_anchor(c, -X_far), _uj_growing_anchor(c, s, X_far)]
+    y_fwd, z = _shoot(rhs, -X_far, y0)
+    return float(y_fwd - z)
 
 
 class UnionJackResult(NamedTuple):
     value: float  # the connection constant
     mismatch: float  # |F(value)|
-    evaluations: int  # mismatch evaluations made, two solves each
+    evaluations: int  # mismatch evaluations made, one solve each
 
 
-def union_jack_connection(tol: float = 1e-10, X_far: float = 10.0,
+def union_jack_connection(tol: float = 1e-10, X_far: float = 6.0,
                           mirror: bool = False) -> UnionJackResult:
     """``union_jack_c0`` with its measured cost and final mismatch.
 
@@ -130,7 +158,7 @@ def union_jack_connection(tol: float = 1e-10, X_far: float = 10.0,
     return UnionJackResult(c0, abs(F(c0)), F.cache_info().currsize)
 
 
-def union_jack_c0(tol: float = 1e-10, X_far: float = 10.0,
+def union_jack_c0(tol: float = 1e-10, X_far: float = 6.0,
                   mirror: bool = False) -> float:
     """Connection constant of dY/dX = Y(Y-X)(Y+X) + c: the unique c in
     (0, 1) joining the solution that vanishes at -infinity to the branch
@@ -141,7 +169,7 @@ def union_jack_c0(tol: float = 1e-10, X_far: float = 10.0,
     return union_jack_connection(tol, X_far, mirror).value
 
 
-def union_jack_anchor_residual(c: float, X_far: float = 10.0) -> float:
+def union_jack_anchor_residual(c: float, X_far: float = 6.0) -> float:
     return ConnectionProblem(partial(union_jack_rhs, c=c),
                              partial(_uj_anchor, c), X_far, c
                              ).anchor_residual(side=-1)
@@ -151,41 +179,39 @@ def union_jack_anchor_residual(c: float, X_far: float = 10.0) -> float:
 # angular canard value curve
 
 
-def _reduced_tail_coeffs(D: float):
-    """Tail V ~ w1/T + w3/T^3 + w5/T^5 + w7/T^7 of the decaying branch of
-    V' = T V + V^2 + D at +infinity."""
-    w1 = -D
-    w3 = D - D * D
-    w5 = w3 * (2 * D - 3)
-    w7 = -(5 + 2 * w1) * w5 - w3 * w3
-    return w1, w3, w5, w7
+def _reduced_tail(D) -> list:
+    """Tail V ~ sum_m w_m T^-m (odd m) of the decaying branch of
+    V' = T V + V^2 + D at +infinity: matching powers of T gives w_1 = -D
+    and w_m = -(m-2) w_{m-2} - sum_{i+j=m-1} w_i w_j.  Returns w_1, w_3,
+    ..., ``_TAIL_TERMS`` of them."""
+    w = []
+    for j in range(_TAIL_TERMS):  # w[j] = w_{2j+1}
+        square = sum(w[i] * w[j - 1 - i] for i in range(j))
+        w.append((-D if j == 0 else -(2 * j - 1) * w[j - 1]) - square)
+    return w
 
 
 def _reduced_anchor(D: float, T: float) -> float:
-    w1, w3, w5, w7 = _reduced_tail_coeffs(D)
-    return w1 / T + w3 / T ** 3 + w5 / T ** 5 + w7 / T ** 7
+    """sum_m w_m T^-m over the tail of ``_reduced_tail``."""
+    return _power_sum(_reduced_tail(D), T ** -2) / T
 
 
-def _reduced_problem(D: float, T_far: float) -> ConnectionProblem:
-    """V' = T V + V**2 + D, its decaying branch anchored four tail terms
-    deep at +T_far; V_d(0, D) is ``.shoot(+1)``."""
+def reduced_anchor_residual(D: float, T_far: float = 7.0) -> float:
     return ConnectionProblem(lambda T, V: T * V + V * V + D,
-                             partial(_reduced_anchor, D), T_far, D)
-
-
-def reduced_anchor_residual(D: float, T_far: float = 10.0) -> float:
-    return _reduced_problem(D, T_far).anchor_residual(side=1)
+                             partial(_reduced_anchor, D), T_far, D
+                             ).anchor_residual(side=1)
 
 
 def angular_canard_value(eps: float, tol: float = 1e-10,
-                         T_far: float = 10.0) -> float:
+                         T_far: float = 7.0) -> float:
     """Canard value c(eps) of the classical angular problem: the root of
 
         gamma(eps)  V_d(0, (c - d(eps)) / gamma(eps)**2)
       = -gamma(-eps) V_d(0, (c - d(-eps)) / gamma(-eps)**2)
 
-    with d + d**2 = eps and gamma**2 = 1 + 2 d.  Requires finite |eps| <
-    1/4 so both branches are real; the value curve is even in eps.
+    with d + d**2 = eps and gamma**2 = 1 + 2 d, where V_d(., D) is the
+    branch of V' = T V + V**2 + D decaying at +infinity.  Requires finite
+    |eps| < 1/4 so both branches are real; the value curve is even in eps.
     ``tol`` is the root tolerance, at least 1e-12.
     """
     if not abs(eps) < 0.25:
@@ -206,30 +232,37 @@ def angular_canard_value(eps: float, tol: float = 1e-10,
 
     @cache  # brentq re-reads the bracket ends
     def F(c):
-        left = gp * _reduced_problem((c - dp) / gp ** 2, T_far).shoot(+1)
-        right = gm * _reduced_problem((c - dm) / gm ** 2, T_far).shoot(+1)
-        return left + right
+        Dp, Dm = (c - dp) / gp ** 2, (c - dm) / gm ** 2
+
+        def rhs(T, v):  # both V_d branches as one system on [T_far, 0]
+            vp, vm = v.tolist()
+            return [T * vp + vp * vp + Dp, T * vm + vm * vm + Dm]
+
+        v0 = [_reduced_anchor(Dp, T_far), _reduced_anchor(Dm, T_far)]
+        vp, vm = _shoot(rhs, T_far, v0)
+        return float(gp * vp + gm * vm)
 
     span = max(8.0 * eps * eps, 1e-5)
-    lo, hi = -span, span
+    lo, hi, blown = -span, span, None
     flo = F(lo)
     for _ in range(60):
-        # near |eps| = 1/4 the upper end drives V_d into blowup; the root
-        # lies below that region, so pull the end toward the lower one
         try:
             fhi = F(hi)
-            break
         except BlowupError:
-            hi = 0.5 * (lo + hi)
+            # near |eps| = 1/4 high ends drive V_d into blowup; the root
+            # lies below that region, so pull the end toward the lower one
+            blown, hi = hi, 0.5 * (lo + hi)
+            continue
+        if flo * fhi <= 0:
+            break
+        if blown is None:
+            lo, hi = 2 * lo, 2 * hi
+            flo = F(lo)
+        else:
+            # the root lies between the last finite end and the blowup
+            lo, flo, hi = hi, fhi, 0.5 * (hi + blown)
     else:
         raise SeriesError("could not bracket the angular canard value")
-    grow = 0
-    while flo * fhi > 0:
-        lo, hi = 2 * lo, 2 * hi
-        flo, fhi = F(lo), F(hi)
-        grow += 1
-        if grow > 30:
-            raise SeriesError("could not bracket the angular canard value")
     # c ~ -2.7 eps^2, so an absolute tol alone would swamp it at tiny eps
     xtol = min(tol, 1e-3 * eps * eps)
     return float(optimize.brentq(F, lo, hi, xtol=xtol, rtol=1e-15))

@@ -12,9 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -35,13 +33,6 @@ from .canard import (
 from .resonance import ResonanceCase, condition_check, riccati_leading_check, z0_polynomial
 
 USAGE_ERROR, OK, CHECK_FAILED = 1, 0, 2
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("CAE_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _emit(text: str, out_path):
@@ -100,15 +91,7 @@ def _cmd_validate(args) -> int:
     series = combined_from_matching(spec, max(orders) + 1, sigma)
     truth = _truth_for(spec, series, sigma, x_grid)
 
-    def table_for(N):
-        return error_scaling(series, truth, eps_list, x_grid, N)
-
-    workers = _threads()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            tables = list(pool.map(table_for, orders))
-    else:
-        tables = [table_for(N) for N in orders]
+    tables = [error_scaling(series, truth, eps_list, x_grid, N) for N in orders]
 
     lines = ["N,eps,sup_error,slope"]
     for N, tab in zip(orders, tables):
@@ -179,9 +162,14 @@ def _cmd_special(args) -> int:
     lines = [f"# U_{args.k}^{args.sigma}({fmt17(args.x)}) = {fmt17(val)}",
              "M,partial,abs_diff"]
     terms = sorted(tail.coeffs.items())
+    try:
+        powers = [args.x ** (-m) for m, _ in terms]
+    except (ZeroDivisionError, OverflowError):
+        raise CaeError(f"no tail partial sums at X = {args.x!r}: they run "
+                       f"in powers of 1/X, which overflow") from None
     partial = 0.0
-    for i, (m, c) in enumerate(terms, start=1):
-        partial += float(c) * args.x ** (-m)
+    for i, ((_, c), power) in enumerate(zip(terms, powers), start=1):
+        partial += float(c) * power
         lines.append(f"{i},{fmt17(partial)},{fmt17(abs(partial - val))}")
     _emit("\n".join(lines) + "\n", args.out)
     return OK
@@ -223,11 +211,12 @@ def _cmd_canard(args) -> int:
         }
     elif args.problem == "angular":
         eps_list = _float_list(args.eps)
+        by_abs = {}  # the value curve is even: one root per |eps|
+        for e in eps_list:
+            if abs(e) not in by_abs:
+                by_abs[abs(e)] = angular_canard_value(e, tol=args.tol)
         doc = {
-            "values": [
-                {"eps": e, "value": angular_canard_value(e, tol=args.tol)}
-                for e in eps_list
-            ],
+            "values": [{"eps": e, "value": by_abs[abs(e)]} for e in eps_list],
             "residuals": {"root_tol": args.tol},
         }
     elif args.problem == "criterion":

@@ -3,6 +3,7 @@ and the control series against closed-form moment oracles."""
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from cae.canard import (
     union_jack_rhs,
     _uj_anchor,
     _uj_mismatch,
+    _uj_tail,
+    _reduced_tail,
 )
 from cae.special import gauss_moment
 from cae.turning import ODESpec, UnsupportedExpansionError, control_expansion
@@ -43,6 +46,18 @@ class TestUnionJack:
         assert abs(res.value - KNOWN_C0_14) <= 1e-8
         assert res.evaluations <= 10
         assert res.mismatch == abs(_uj_mismatch(res.value))
+
+    def test_one_solve_per_evaluation(self, solve_spans):
+        # both legs run as one system: a mismatch evaluation is one solve
+        res = union_jack_connection(tol=1e-8)
+        assert len(solve_spans) == res.evaluations
+        assert set(solve_spans) == {(-6.0, 0.0)}
+
+    def test_tail_recursion_exact(self):
+        c = Fraction(1, 3)
+        assert _uj_tail(c)[:4] == [c, 2 * c, c ** 3 + 10 * c,
+                                   14 * c ** 3 + 80 * c]
+        assert len(_uj_tail(c)) == 8
 
     def test_zero_control_stays_below(self):
         # the shooting mismatch Y_fwd(0) - Y_bwd(0) changes sign across the
@@ -100,6 +115,19 @@ class TestAngular:
         b = angular_canard_value(0.02, T_far=16.0)
         assert abs(a - b) < 1e-10
 
+    def test_default_t_far_at_floor_tolerance(self):
+        a = angular_canard_value(0.028, tol=1e-12)
+        b = angular_canard_value(0.028, tol=1e-12, T_far=16.0)
+        assert abs(a - b) < 1e-13
+
+    def test_tail_recursion_exact(self):
+        D = Fraction(1, 7)
+        w1, w3, w5, w7 = _reduced_tail(D)[:4]
+        assert (w1, w3) == (-D, D - D * D)
+        assert w5 == w3 * (2 * D - 3)
+        assert w7 == -(5 + 2 * w1) * w5 - w3 * w3
+        assert len(_reduced_tail(D)) == 8
+
     def test_reduced_anchor_residual(self):
         # at the D scale the solves actually visit
         assert reduced_anchor_residual(2e-3) < 1e-8
@@ -122,13 +150,17 @@ class TestAngular:
         ref = brentq(_independent_residual, -2e-3, -5e-4, xtol=1e-15, rtol=1e-15)
         assert abs(angular_canard_value(0.02) - ref) < 1e-10
 
-    @pytest.mark.parametrize("eps", [0.185, 0.2, 0.24])
+    @pytest.mark.parametrize("eps", [0.185, 0.2, 0.24, 0.249])
     def test_bracket_clear_of_blowup(self, eps):
-        # the first bracket end +8 eps^2 drives V_d into blowup here
+        # the first bracket end +8 eps^2 drives V_d into blowup here; at
+        # 0.249 the end pulled in below the blowup (from about -6.5 eps^2)
+        # still has the sign of the lower end, and the root lies between
+        # it and the blowup
         c = angular_canard_value(eps)
         lo, hi = (_independent_residual(c + s * 1e-7, eps) for s in (-1, 1))
         assert lo * hi < 0
-        assert -6 * eps * eps < c < -2.5 * eps * eps
+        low, high = (-6.9, -6.8) if eps == 0.249 else (-6, -2.5)
+        assert low * eps * eps < c < high * eps * eps
 
     def test_root_tolerance_relative_at_tiny_eps(self):
         # c(eps) ~ -2.693 eps^2; the default absolute tol 1e-8 of the CLI

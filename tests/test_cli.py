@@ -89,6 +89,15 @@ class TestOutputs:
         assert captured.out == ""
         assert "finite" in captured.err
 
+    @pytest.mark.parametrize("x", ["0", "-0.0", "1e-30"])
+    def test_special_zero_exits_1(self, x, capsys):
+        # the tail partial sums run in powers of 1/X, which overflow here
+        rc = main(["special", "U", "--p", "2", "--x", x])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     def test_gevrey_fit_csv(self, tmp_path, capsys):
         from scipy.special import gamma
 
@@ -144,6 +153,19 @@ class TestOutputs:
         assert rc == 0
         assert out["values"][0]["eps"] == 0.02
         assert out["values"][0]["value"] == pytest.approx(-1.0798045e-3, rel=1e-4)
+
+    def test_canard_angular_one_root_per_abs_eps(self, capsys, solve_spans):
+        runs = []
+        for eps in ("0.028", "0.028,-0.028"):
+            solve_spans.clear()
+            assert main(["canard", "angular", "--eps", eps]) == 0
+            runs.append((len(solve_spans),
+                         json.loads(capsys.readouterr().out)))
+        (n_one, one), (n_pair, pair) = runs
+        assert n_one == n_pair > 0
+        values = [v["value"] for v in pair["values"]]
+        assert [v["eps"] for v in pair["values"]] == [0.028, -0.028]
+        assert values[0] == values[1] == one["values"][0]["value"]
 
     def test_validate_table(self, tmp_path, capsys):
         spec = write_spec(tmp_path, EX1)
