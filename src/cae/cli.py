@@ -22,7 +22,12 @@ from .errors import CaeError, CompatibilityError, InfeasibleError
 from .series import CombinedSeries, TaylorPoly, evaluate_partial_sum
 from .special import eval_u, u_tail
 from .turning import ODESpec, combined_from_matching
-from .validate import bounded_solution_quadrature, error_scaling, ode_solve
+from .validate import (
+    bounded_solution_quadrature,
+    check_grid,
+    error_scaling,
+    ode_solve,
+)
 from .gevrey import gevrey_fit
 from .canard import (
     angular_canard_value,
@@ -59,8 +64,11 @@ def _int_list(text: str):
 
 
 def _grid(text: str):
-    lo, hi, n = text.split(":")
-    return np.linspace(float(lo), float(hi), int(n))
+    try:
+        lo, hi, n = text.split(":")
+        return np.linspace(float(lo), float(hi), int(n))
+    except ValueError:
+        raise CaeError(f"--xgrid wants lo:hi:n with n >= 0, got {text!r}") from None
 
 
 def _load_spec(path: str) -> ODESpec:
@@ -88,6 +96,7 @@ def _cmd_validate(args) -> int:
     orders = _int_list(args.orders)
     eps_list = _float_list(args.eps)
     x_grid = _grid(args.xgrid)
+    check_grid(x_grid, sigma)
     series = combined_from_matching(spec, max(orders) + 1, sigma)
     truth = _truth_for(spec, series, sigma, x_grid)
 
@@ -248,7 +257,10 @@ def _cmd_resonance(args) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `cae` parser, built once per process: parsing leaves it
+    unchanged, so every call of `main` reuses it."""
     ap = argparse.ArgumentParser(
         prog="cae",
         description="combined slow/fast expansions at turning points",

@@ -448,10 +448,7 @@ class BasisTerm:
         from . import special  # cycle-free at call time
 
         if self.kind == "u":
-            poly, tail = special.tail_of_j(
-                self.p, self.sigma, TaylorPoly.x(self.k - 1) if self.k > 1 else TaylorPoly.constant(1),
-                depth,
-            )
+            poly, tail = special.u_tail(self.p, self.k, depth).to_poly_tail()
             if not poly.is_zero():
                 raise SeriesError("u basis term with polynomial growth")
             return tail.scale(self.coef)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Callable, Optional
 
 import numpy as np
@@ -56,7 +57,8 @@ class InfSeries:
     """Truncated expansion sum c_m X**-m with m from -top_degree to depth.
 
     ``depth`` records up to which m the coefficients are known; complete
-    series (finite exact expressions) use depth = None.
+    series (finite exact expressions) use depth = None.  ``coeffs`` is a
+    read-only mapping, so a shared (cached) series cannot be altered.
     """
 
     __slots__ = ("coeffs", "depth")
@@ -69,7 +71,8 @@ class InfSeries:
             if depth is not None and m > depth:
                 continue
             cleaned[m] = c
-        object.__setattr__(self, "coeffs", dict(sorted(cleaned.items())))
+        object.__setattr__(self, "coeffs",
+                           MappingProxyType(dict(sorted(cleaned.items()))))
         object.__setattr__(self, "depth", depth)
 
     def __setattr__(self, *a):
@@ -179,7 +182,7 @@ class InfSeries:
         )
 
     def __repr__(self):
-        return f"InfSeries({self.coeffs!r}, depth={self.depth})"
+        return f"InfSeries({dict(self.coeffs)!r}, depth={self.depth})"
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +243,8 @@ _U_TAIL_CACHE: dict = {}
 
 
 def u_tail(p: int, k: int, depth: int = 16) -> InfSeries:
-    """Cached formal tail of U_k (same series for both sides)."""
+    """Formal tail of U_k (same series for both sides), derived once per
+    (p, k, depth) per process; the shared InfSeries is immutable."""
     key = (p, k, depth)
     if key not in _U_TAIL_CACHE:
         v = InfSeries({-(k - 1): 1}, None)

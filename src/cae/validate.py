@@ -173,6 +173,24 @@ class ErrorTable:
         return self.slope is not None and self.slope >= self.N - slack
 
 
+def check_grid(x_grid: Sequence[float], sigma: int):
+    """Refuse an x-grid no error table can be read from: an empty one, one
+    with non-finite points, or one with points on the growth side
+    sigma * x < 0, where the bounded solution is exponentially large in
+    1/eps and the errors read as noise.  x = 0 is allowed."""
+    xs = np.asarray(x_grid, dtype=float)
+    if xs.size == 0:
+        raise SeriesError("empty x-grid: a sup-norm error needs at least one point")
+    if not np.isfinite(xs).all():
+        raise SeriesError("x-grid points must be finite")
+    wrong = xs[sigma * xs < 0]
+    if wrong.size:
+        raise SeriesError(
+            f"x-grid point {float(wrong[0])!r} lies on the growth side of "
+            f"the {'minus' if sigma < 0 else 'plus'} table (sigma * x < 0)"
+        )
+
+
 def error_scaling(
     series,
     truth: Callable,
@@ -188,8 +206,10 @@ def error_scaling(
 
     ``series`` is a CombinedSeries (evaluated through its partial sums) or
     a callable (x, eps, N).  eps values must be strictly decreasing, at
-    least three, and span a factor >= 4.
+    least three, and span a factor >= 4; the x-grid must not be empty.
     """
+    if len(x_grid) == 0:
+        raise SeriesError("empty x-grid: a sup-norm error needs at least one point")
     eps_list = list(eps_list)
     if len(eps_list) < 3:
         raise SeriesError("need at least 3 eps values")

@@ -1,10 +1,11 @@
 """Command-line interface tests: exit codes, schemas, determinism."""
 
+import argparse
 import json
 
 import pytest
 
-from cae.cli import main
+from cae.cli import build_parser, main
 from cae.validate import ode_solve
 
 EX1 = {"p": 2, "h": [{"j": 0, "l": 0, "c": 1}, {"j": 1, "l": 0, "c": 1}]}
@@ -54,6 +55,37 @@ class TestExitCodes:
 
     def test_usage_error(self, capsys):
         assert main(["expand"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["--xgrid=-1:0:0"],                          # empty grid
+        ["--xgrid=0:1:5"],                           # growth side of minus
+        ["--xgrid=-1:0.5:5"],                        # partly on the growth side
+        ["--xgrid=-1:0:5", "--side", "plus"],        # growth side of plus
+        ["--xgrid=nan:0:5"],
+        ["--xgrid=-1:0"], ["--xgrid=-1:0:-3"], ["--xgrid=-1:0:2.5"],
+    ])
+    def test_validate_bad_grid_exits_1(self, argv, tmp_path, capsys,
+                                       monkeypatch):
+        def no_truth(*a, **k):
+            raise AssertionError("truth computed for a refused grid")
+
+        monkeypatch.setattr("cae.cli.combined_from_matching", no_truth)
+        monkeypatch.setattr("cae.cli.bounded_solution_quadrature", no_truth)
+        spec = write_spec(tmp_path, EX1)
+        rc = main(["validate", "--spec", spec, "--orders", "1,2,3",
+                   "--eps", "0.04,0.02,0.01,0.005"] + argv)
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert out == "" and err.startswith("error: ")
+
+    def test_validate_grid_ending_at_zero_accepted(self, tmp_path, capsys):
+        for grid, side in (("-1:0:5", "minus"), ("0:1:5", "plus")):
+            spec = write_spec(tmp_path, EX1)
+            rc = main(["validate", "--spec", spec, "--orders", "2",
+                       "--eps", "0.1,0.05,0.025", "--xgrid", grid,
+                       "--side", side])
+            assert rc == 0
+            assert capsys.readouterr().out.startswith("N,eps,sup_error,slope\n")
 
 
 class TestOutputs:
@@ -235,3 +267,67 @@ class TestDeterminism:
             assert rc == 0
             results.append(path.read_bytes())
         assert results[0] == results[1]
+
+
+class TestParserReuse:
+    """main() keeps one parser per process; no call may see state left
+    behind by an earlier one."""
+
+    def _run(self, argv, capsys, out_path):
+        """(exit code, stdout, text written to out_path) of one call."""
+        rc = main(argv)
+        written = None
+        if out_path.exists():
+            written = out_path.read_text()
+            out_path.unlink()
+        return rc, capsys.readouterr().out, written
+
+    def test_chain_matches_isolated_calls(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, EX1)
+        bad = write_spec(tmp_path, E1, "e1.json")
+        out_path = tmp_path / "out.json"
+        chain = [
+            ["expand", "--spec", spec, "--order", "3", "--stamp"],
+            ["expand", "--spec", spec, "--order", "3"],
+            ["expand", "--spec", spec, "--order", "4", "--out", str(out_path)],
+            ["expand", "--spec", spec, "--order", "4"],
+            ["canard", "unionjack", "--tol", "1e-6", "--mirror"],
+            ["canard", "unionjack", "--tol", "1e-6"],
+            ["expand", "--order", "3"],                    # usage error
+            ["expand", "--spec", bad, "--order", "3"],     # check failure
+            ["resonance", "--alpha", "1", "--beta", "2", "--p", "2", "--stamp"],
+            ["resonance", "--alpha", "1", "--beta", "2", "--p", "2"],
+            ["special", "U", "--p", "2", "--x", "-3", "--out", str(out_path)],
+            ["special", "U", "--p", "2", "--x", "-3"],
+        ]
+        chained = [self._run(argv, capsys, out_path) for argv in chain]
+        alone = []
+        for argv in chain:
+            build_parser.cache_clear()
+            alone.append(self._run(argv, capsys, out_path))
+        assert [rc for rc, _o, _w in chained] == [0, 0, 0, 0, 0, 0, 1, 2, 0, 0, 0, 0]
+        assert chained == alone
+        assert "stamp" in chained[0][1] and "stamp" not in chained[1][1]
+        assert chained[2][1] == "" and chained[2][2] == chained[3][1]
+
+    def test_parser_built_once(self, monkeypatch, capsys):
+        progs = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            progs.append(self.prog)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        build_parser.cache_clear()
+        try:
+            assert main(["resonance", "--alpha", "1", "--beta", "2", "--p", "2"]) == 0
+            per_build = len(progs)
+            for _ in range(4):
+                assert main(["resonance", "--alpha", "1", "--beta", "2",
+                             "--p", "4"]) == 0
+                assert main(["expand"]) == 1
+        finally:
+            build_parser.cache_clear()
+        assert progs.count("cae") == 1
+        assert len(progs) == per_build == 7  # the parser and its 6 subparsers

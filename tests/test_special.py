@@ -2,6 +2,7 @@
 inline with scipy so the expectations never depend on the code under test."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,7 @@ from scipy import integrate
 from scipy.special import gamma
 
 from cae.errors import SeriesError
-from cae.series import TaylorPoly
+from cae.series import BasisTerm, TaylorPoly
 from cae import special
 from cae.special import (
     ExponentCapError,
@@ -22,6 +23,7 @@ from cae.special import (
     tail_of_j,
     u_tail,
 )
+from cae.turning import ODESpec, combined_from_matching
 
 
 class TestEvalU:
@@ -191,6 +193,65 @@ class TestTailOfJ:
         v = InfSeries({1: 1.0}, 4)
         u = special.tail_of_j_series(2, v, 20)
         assert u.depth == 5  # d_v + p - 1
+
+
+class TestSharedTailCache:
+    """BasisTerm.tail (kind "u") and u_tail read one cached series per
+    (p, k, depth); the cache must change no value and hand out nothing a
+    caller can alter."""
+
+    def test_basis_tail_equals_fresh_derivation(self):
+        c = Fraction(-3, 7)
+        for p in (2, 4, 6):
+            for k in range(1, p):
+                v = InfSeries({-(k - 1): 1}, None)
+                for depth in range(21):
+                    fresh = special.tail_of_j_series(p, v, depth)
+                    want = tuple(c * fresh.coefficient(m)
+                                 for m in range(1, depth + 1))
+                    for sigma in (-1, 1):
+                        tail = BasisTerm("u", p, k, sigma, c).tail(depth)
+                        assert tail.coeffs == want, (p, k, sigma, depth)
+                        assert not tail.complete
+                        assert all(isinstance(x, (int, Fraction))
+                                   for x in tail.coeffs)
+
+    def test_repeated_matching_derives_each_tail_once(self, monkeypatch):
+        derived = Counter()
+        derive = special.tail_of_j_series
+
+        def counting(p, v, depth):
+            derived[(p, tuple(v.coeffs.items()), depth)] += 1
+            return derive(p, v, depth)
+
+        monkeypatch.setattr(special, "tail_of_j_series", counting)
+        monkeypatch.setattr(special, "_U_TAIL_CACHE", {})
+        specs = (ODESpec(p=2, h={(0, 0): 1, (1, 0): Fraction(2, 3)}),
+                 ODESpec(p=4, h={(1, 0): Fraction(3, 2), (2, 1): 1}))
+        for spec in specs:
+            for _ in range(3):
+                for sigma in (-1, 1):
+                    combined_from_matching(spec, 9, sigma)
+        assert derived, "no U_k tail was derived at all"
+        assert max(derived.values()) == 1, derived
+
+    def test_cached_entry_is_immutable(self):
+        t = u_tail(2, 1, depth=10)
+        before = dict(t.coeffs)
+        with pytest.raises(TypeError):
+            t.coeffs[1] = 99
+        with pytest.raises(TypeError):
+            del t.coeffs[1]
+        with pytest.raises(AttributeError):
+            t.coeffs = {}
+        with pytest.raises(AttributeError):
+            t.depth = 3
+        again = u_tail(2, 1, depth=10)
+        assert again is t and dict(again.coeffs) == before
+        tail = BasisTerm("u", 2, 1, -1, 1).tail(10)
+        with pytest.raises(TypeError):
+            tail.coeffs[0] = 99
+        assert BasisTerm("u", 2, 1, -1, 1).tail(10) == tail
 
 
 class TestApplyJ:

@@ -8,9 +8,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from cae.errors import BlowupError, InfeasibleError, SeriesError
+from cae.errors import BlowupError, CaeError, InfeasibleError, SeriesError
 from cae.series import (
     LaurentPoly,
     TaylorPoly,
@@ -538,3 +539,88 @@ class TestControlExpansion:
         assert ce.grading == "eta"
         from scipy.special import gamma
         assert ce.alphas[2] == pytest.approx(-3 * gamma(0.75) / gamma(0.25), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# exact path as the oracle of the float path
+
+small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+def _float_twin(doc):
+    """The float twin of an exact JSON value: "num/den" strings -> floats."""
+    if isinstance(doc, dict):
+        return {k: _float_twin(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_float_twin(v) for v in doc]
+    if isinstance(doc, str) and "/" in doc:
+        return float(Fraction(doc))
+    return doc
+
+
+def _assert_close(exact_doc, float_doc, path="doc"):
+    """Same structure; numbers agree to 1e-9 absolute, the rest exactly."""
+    if isinstance(exact_doc, dict):
+        assert sorted(exact_doc) == sorted(float_doc), path
+        for k in exact_doc:
+            _assert_close(exact_doc[k], float_doc[k], f"{path}.{k}")
+    elif isinstance(exact_doc, list):
+        assert len(exact_doc) == len(float_doc), path
+        for i, (a, b) in enumerate(zip(exact_doc, float_doc)):
+            _assert_close(a, b, f"{path}[{i}]")
+    elif isinstance(exact_doc, float):
+        assert isinstance(float_doc, (int, float)), path
+        assert not isinstance(float_doc, bool), path
+        assert abs(exact_doc - float_doc) <= 1e-9, (path, exact_doc, float_doc)
+    else:
+        assert exact_doc == float_doc, path
+
+
+class TestExactFloatAgreement:
+    """Float paths against the exact (rational) ones, coefficient by
+    coefficient, on small random y-linear specs."""
+
+    @given(
+        st.sampled_from((2, 4)),
+        st.dictionaries(
+            st.tuples(st.integers(0, 3), st.integers(0, 1)),
+            small_rationals.filter(lambda c: c != 0),
+            min_size=1, max_size=3,
+        ),
+        st.integers(2, 10),
+        st.sampled_from((-1, 1)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_combined_from_matching(self, p, h, N, sigma):
+        outcomes = []
+        for coeffs in (h, {k: float(c) for k, c in h.items()}):
+            try:
+                outcomes.append(combined_from_matching(ODESpec(p=p, h=coeffs),
+                                                       N, sigma))
+            except CaeError as exc:
+                outcomes.append(type(exc))
+        exact, flt = outcomes
+        if isinstance(exact, type):
+            assert flt is exact
+            return
+        _assert_close(_float_twin(exact.to_json()), flt.to_json())
+
+    @given(st.lists(small_rationals, min_size=1, max_size=5), st.integers(2, 12))
+    @settings(max_examples=40, deadline=None)
+    def test_closed_form_series(self, g, N):
+        exact = closed_form_series(TaylorPoly(g), N)
+        flt = closed_form_series(TaylorPoly([float(c) for c in g]), N)
+        _assert_close(_float_twin(exact.to_json()), flt.to_json())
+
+    @given(st.lists(small_rationals, min_size=1, max_size=5),
+           st.sampled_from((2, 4)), st.integers(1, 8))
+    @settings(max_examples=30, deadline=None)
+    def test_control_expansion(self, g, p, N):
+        exact = control_expansion(TaylorPoly(g), p, N)
+        flt = control_expansion(TaylorPoly([float(c) for c in g]), p, N)
+        assert exact.grading == flt.grading
+        _assert_close([float(a) for a in exact.alphas],
+                      [float(a) for a in flt.alphas])
+        if p == 2:
+            _assert_close([[float(c) for c in y.coeffs] for y in exact.ys],
+                          [[float(c) for c in y.coeffs] for y in flt.ys])

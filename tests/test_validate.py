@@ -13,6 +13,7 @@ from cae.special import ExponentCapError
 from cae.turning import ODESpec, closed_form_series, outer_expansion
 from cae.validate import (
     bounded_solution_quadrature,
+    check_grid,
     error_scaling,
     exp_smallness_fit,
     ode_solve,
@@ -173,6 +174,30 @@ class TestErrorScaling:
             error_scaling(series, truth, [0.1, 0.05], X_GRID, 2)
         with pytest.raises(SeriesError):
             error_scaling(series, truth, [0.1, 0.2, 0.05, 0.0125], X_GRID, 2)
+
+    def test_empty_grid_refused(self):
+        series = closed_form_series(TaylorPoly([1, 1]), 4)
+
+        def no_truth(x, eps):
+            raise AssertionError("truth computed on an empty grid")
+
+        for grid in ([], np.linspace(-1.0, 0.0, 0)):
+            with pytest.raises(SeriesError, match="empty x-grid"):
+                error_scaling(series, no_truth, EPS_GRID, grid, 2)
+            with pytest.raises(SeriesError, match="empty x-grid"):
+                check_grid(grid, -1)
+
+    def test_growth_side_grid_refused(self):
+        for grid, sigma in (([0.0, 0.25, 0.5], -1), ([-1.0, -0.5, 0.0], 1),
+                            ([-0.5, 1e-9], -1)):
+            with pytest.raises(SeriesError, match="growth side"):
+                check_grid(grid, sigma)
+        with pytest.raises(SeriesError, match="finite"):
+            check_grid([-1.0, math.nan], -1)
+        # the decaying side, x = 0 included, passes
+        check_grid(np.linspace(-1.0, 0.0, 5), -1)
+        check_grid(np.linspace(0.0, 1.0, 5), 1)
+        check_grid([0.0], 1)
 
 
 class TestExpSmallness:
