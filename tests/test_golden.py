@@ -22,6 +22,11 @@ def _expand(name, order, side):
             "--order", str(order), "--side", side]
 
 
+def _validate(name, orders, eps, xgrid):
+    return ["validate", "--spec", str(INPUTS / f"{name}.json"),
+            "--orders", orders, "--eps", eps, "--xgrid", xgrid]
+
+
 CASES = {
     # exact spec and its float twin, p = 2 and 4, orders 4 / 12 / 18
     "expand_p2_exact_o4_minus": _expand("p2_exact", 4, "minus"),
@@ -44,6 +49,14 @@ CASES = {
                      "minus", "--x", "-10"],
     "special_U_p4": ["special", "U", "--p", "4", "--k", "3", "--sigma",
                      "plus", "--x", "3", "--depth", "16"],
+    # error-scaling tables: y-linear exact specs (quadrature truth) and one
+    # nonlinear spec (trajectory truth launched from the series)
+    "validate_p2_exact": _validate("p2_exact", "1,2,3,4",
+                                   "0.04,0.02,0.01,0.005", "-1:0:9"),
+    "validate_p4_exact": _validate("p4_exact", "2,3,4,5",
+                                   "0.02,0.01,0.005,0.0025", "-1:0:9"),
+    "validate_nl_p2_exact": _validate("nl_p2_exact", "1,2,3",
+                                      "0.08,0.04,0.02", "-0.7:0:8"),
 }
 
 
