@@ -570,19 +570,21 @@ def combined_from_matching(
     N: int,
     sigma: int,
     tol: float = 1e-9,
-    depth: int = 16,
 ) -> CombinedSeries:
     """Assemble the combined series to eta-order N: slow parts are the
     regular parts of the outer coefficients, fast parts the decaying parts
     of the inner coefficients, and the rejected pieces of each must agree
     under the matching identity (checked, tolerance ``tol``; exact specs
-    compare exactly)."""
+    compare exactly).  Fast tails are kept to 16 terms, or to the largest
+    pole order of the checked outer coefficients when that is larger."""
     n_eps = max(1, (N - 1) // spec.p)
     outer = outer_expansion(spec, n_eps)
     feas = dac_feasibility(outer)
     if not feas:
         raise InfeasibleError(feas.message, n=feas.witness, pole=feas.pole,
                               bound=feas.bound)
+    depth = max([16] + [v.pole_order for n, v in enumerate(outer.orders)
+                        if 0 < spec.p * n < N])
     inner = inner_expansion(spec, N, sigma, depth=depth)
     exact = spec.exact and spec.linear_in_y
 

@@ -100,6 +100,17 @@ class TestOutputs:
         assert doc["slow"][2] == ["-1/2"]
         assert doc["fast"][1]["tail"][0] == "-1/2"
 
+    def test_expand_past_sixteen_tail_terms(self, tmp_path, capsys):
+        # h = 1 + x + x^3 at order 19 checks the outer pole x^-17
+        spec = write_spec(tmp_path, {"p": 2, "h": [
+            {"j": 0, "l": 0, "c": 1}, {"j": 1, "l": 0, "c": 1},
+            {"j": 3, "l": 0, "c": 1}]})
+        rc = main(["expand", "--spec", spec, "--order", "19"])
+        out, err = capsys.readouterr()
+        assert rc == 0, err
+        doc = json.loads(out)
+        assert len(doc["fast"][1]["tail"]) == 17
+
     def test_special_csv(self, capsys):
         rc = main(["special", "U", "--p", "2", "--k", "1",
                    "--sigma", "minus", "--x", "-10"])

@@ -33,6 +33,7 @@ from cae.series import (
 from cae.errors import (
     CompatibilityError,
     InfeasibleError,
+    InsufficientTailError,
     MissingEvaluatorError,
     NonDifferentiableError,
     SeriesError,
@@ -459,6 +460,30 @@ class TestReconstruct:
         with pytest.raises(CompatibilityError) as exc:
             reconstruct_from_matching(outer, inner, 2, tol=0)
         assert (exc.value.n, exc.value.m) == (3, -1)
+
+    def test_outer_slow_part_needs_inner_polynomial(self):
+        # the outer coefficient 5x at order 0 must reappear as 5X in the
+        # inner polynomial at order 1, which is zero here
+        outer = [LaurentPoly([0, 5]), LaurentPoly.zero()]
+        inner = [(TaylorPoly.zero(), AsymTail((), complete=True))] * 2
+        with pytest.raises(CompatibilityError) as exc:
+            reconstruct_from_matching(outer, inner, 2, tol=0)
+        assert (exc.value.n, exc.value.m) == (1, 1)
+
+    def test_unknown_tail_coefficient_is_not_read_as_zero(self):
+        # the pole part x^-2 + 0 x^-1 at order 2 needs g_{1,1}, which a
+        # tail of depth 0 does not know; the zero pole coefficient must not
+        # count as matched
+        outer = [LaurentPoly.zero(), LaurentPoly.zero(), LaurentPoly([1], -2)]
+        inner = [(TaylorPoly.zero(), AsymTail([0, 1])),
+                 (TaylorPoly.zero(), AsymTail(())),
+                 (TaylorPoly.zero(), AsymTail.zero())]
+        with pytest.raises(InsufficientTailError):
+            reconstruct_from_matching(outer, inner, 2, tol=0)
+        # known to depth 1 and zero there, the same data match
+        inner[1] = (TaylorPoly.zero(), AsymTail([0]))
+        back = reconstruct_from_matching(outer, inner, 2, tol=0)
+        assert back.fast[0].tail == AsymTail([0, 1])
 
 
 # ---------------------------------------------------------------------------

@@ -351,6 +351,28 @@ class TestMatching:
             for mu in range(1, v.pole_order + 1):
                 assert v.coefficient(-mu) == cs.fast[m_eta - mu].tail.coefficient(mu)
 
+    @pytest.mark.parametrize("N", [19, 30, 40])
+    def test_tail_depth_covers_every_checked_pole(self, N):
+        # h = 1 + x + x^3: v_n has pole order 2n - 1, so from N = 19 on the
+        # checked outer poles reach past 16 tail terms
+        spec = ODESpec(p=2, h={(0, 0): 1, (1, 0): 1, (3, 0): 1})
+        cs = combined_from_matching(spec, N, -1)
+        out = outer_expansion(spec, (N - 1) // 2)
+        poles = [v.pole_order for v in out.orders[1:]]
+        assert max(poles) > 16
+        assert cs.fast[1].tail.depth == max(poles)
+        for n, v in enumerate(out.orders[1:], start=1):
+            for mu in range(1, v.pole_order + 1):
+                assert v.coefficient(-mu) == cs.fast[2 * n - mu].tail.coefficient(mu)
+
+    def test_tail_depth_float_twin_order_19(self):
+        h = {(0, 0): 1, (1, 0): 1, (3, 0): 1}
+        exact = combined_from_matching(ODESpec(p=2, h=h), 19, -1)
+        flt = combined_from_matching(
+            ODESpec(p=2, h={k: float(c) for k, c in h.items()}), 19, -1)
+        assert len(flt.fast[1].tail.coeffs) == 17
+        _assert_close(_float_twin(exact.to_json()), flt.to_json())
+
     def test_plus_side(self):
         # the right-bounded branch carries the same tails with U^+ layers
         from cae.validate import bounded_solution_quadrature
