@@ -16,18 +16,6 @@ def is_exact(x) -> bool:
     return isinstance(x, (int, Fraction))
 
 
-def all_exact(xs) -> bool:
-    return all(is_exact(x) for x in xs)
-
-
-def as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    return Fraction(x).limit_denominator(10**12)
-
-
 def scalar_to_json(x):
     """Floats pass through; exact rationals encode as "num/den" strings."""
     if isinstance(x, bool):

@@ -170,7 +170,7 @@ def _cmd_special(args) -> int:
     tail = u_tail(args.p, args.k, depth=args.depth)
     lines = [f"# U_{args.k}^{args.sigma}({fmt17(args.x)}) = {fmt17(val)}",
              "M,partial,abs_diff"]
-    terms = sorted(tail.coeffs.items())
+    terms = [(m, c) for m, c in enumerate(tail.coeffs, start=1) if c != 0]
     try:
         powers = [args.x ** (-m) for m, _ in terms]
     except (ZeroDivisionError, OverflowError):

@@ -31,111 +31,236 @@ from ._scalar import is_exact, scalar_from_json, scalar_to_json
 DEFAULT_TAIL_DEPTH = 8
 
 
-def _trim(coeffs):
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
 # ---------------------------------------------------------------------------
-# polynomials in the slow variable
+# the truncated-Laurent core and its three views
 
 
-class TaylorPoly:
-    """Polynomial sum(c_m * x**m); also used for polynomial parts in X."""
+class Laurent:
+    """Truncated Laurent series sum(c_e t**e) in one base variable t.
 
-    __slots__ = ("coeffs",)
+    ``dense[i]`` multiplies t**(offset + i).  ``low`` is the lowest power
+    whose coefficient is known, or None for a complete series, whose
+    coefficients outside ``dense`` are exactly 0.  Reading a coefficient
+    below ``low`` raises InsufficientTailError; no caller may read it as 0.
+
+    Slow parts use t = x.  Fast parts use t = X, so the tail coefficient
+    g_m sits at power -m.  Stored coefficients keep the type their
+    arithmetic gave them (a Fraction zero stays a Fraction).  A plain
+    Laurent trims zeros at both ends; the subclasses TaylorPoly and
+    AsymTail are views that keep only the powers >= 0, or < 0, of what
+    they are built from.
+    """
+
+    __slots__ = ("dense", "offset", "low")
+
+    def __init__(self, dense: Sequence = (), offset: int = 0,
+                 low: Optional[int] = None):
+        dense, offset, low = self._norm(list(dense), offset, low)
+        object.__setattr__(self, "dense", dense)
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "low", low)
+
+    @classmethod
+    def _new(cls, c: list, offset: int, low):
+        obj = object.__new__(cls)
+        Laurent.__init__(obj, c, offset, low)
+        return obj
+
+    @staticmethod
+    def _norm(c: list, offset: int, low):
+        if low is not None and offset < low:
+            del c[:low - offset]
+            offset = low
+        while c and c[-1] == 0:
+            c.pop()
+        i = 0
+        while i < len(c) and c[i] == 0:
+            i += 1
+        del c[:i]
+        return tuple(c), offset + i if c else 0, low
+
+    @classmethod
+    def part(cls, s: "Laurent"):
+        """``s`` read through this class: the powers it keeps, stored its way."""
+        return cls._new(list(s.dense), s.offset, s.low)
+
+    @classmethod
+    def zero(cls):
+        return cls._new([], 0, None)
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def coeffs(self) -> tuple:
+        return self.dense
+
+    @property
+    def top_degree(self) -> int:
+        """Highest stored power (0 for the zero series)."""
+        return self.offset + len(self.dense) - 1 if self.dense else 0
+
+    def coefficient(self, e: int):
+        """The coefficient of t**e; raises below the known bound."""
+        i = e - self.offset
+        if 0 <= i < len(self.dense):
+            return self.dense[i]
+        if self.low is not None and e < self.low:
+            raise InsufficientTailError(
+                f"coefficient of power {e} unknown: known down to power {self.low}"
+            )
+        return 0
+
+    def is_zero(self) -> bool:
+        if self.low is None:  # complete series are trimmed
+            return not self.dense
+        return all(c == 0 for c in self.dense)
+
+    def __eq__(self, other):
+        return (type(self) is type(other) and self.dense == other.dense
+                and self.offset == other.offset and self.low == other.low)
+
+    def __hash__(self):
+        return hash((self.dense, self.offset, self.low))
+
+    def _cls(self, other):
+        return type(self) if type(other) is type(self) else Laurent
+
+    def __add__(self, other: "Laurent"):
+        a, b, ea, eb = self.dense, other.dense, self.offset, other.offset
+        if ea == eb and len(a) == len(b):
+            out = [x + y for x, y in zip(a, b)]
+        else:
+            lo = min(ea if a else eb, eb if b else ea)
+            hi = max(ea + len(a), eb + len(b))
+            pa = [0] * (ea - lo) + list(a) + [0] * (hi - ea - len(a)) if a else [0] * (hi - lo)
+            pb = [0] * (eb - lo) + list(b) + [0] * (hi - eb - len(b)) if b else [0] * (hi - lo)
+            out = [x + y for x, y in zip(pa, pb)]
+            ea = lo
+        lows = [l for l in (self.low, other.low) if l is not None]
+        return self._cls(other)._new(out, ea, max(lows) if lows else None)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def scale(self, s):
+        return type(self)._new([s * c for c in self.dense], self.offset, self.low)
+
+    def __mul__(self, other: "Laurent"):
+        """Cauchy product, known down to the lowest power that no unknown
+        coefficient of either factor reaches."""
+        cls = self._cls(other)
+        a, b, la, lb = self.dense, other.dense, self.low, other.low
+        if (not a and la is None) or (not b and lb is None):
+            return cls._new([], 0, None)  # exact zero
+        ta = self.offset + len(a) - 1 if a else la - 1
+        tb = other.offset + len(b) - 1 if b else lb - 1
+        lows = [l + t for l, t in ((la, tb), (lb, ta)) if l is not None]
+        low = max(lows) if lows else None
+        e = self.offset + other.offset
+        skip = 0 if low is None else low - e  # first index i + j kept
+        out = [0] * (len(a) + len(b) - 1) if a and b else []
+        for i, x in enumerate(a):
+            if x == 0:
+                continue
+            if skip - i <= 0:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+            else:
+                for j in range(skip - i, len(b)):
+                    out[i + j] += x * b[j]
+        return cls._new(out, e, low)
+
+    def derivative(self):
+        e = self.offset
+        return type(self)._new([(e + i) * c for i, c in enumerate(self.dense)],
+                               e - 1, None if self.low is None else self.low - 1)
+
+    def integral(self):
+        """Termwise antiderivative with no constant term; the coefficient of
+        t**-1 must vanish."""
+        out = []
+        for e, c in enumerate(self.dense, self.offset + 1):
+            if e == 0 and c != 0:
+                raise SeriesError("t**-1 has no power-law antiderivative")
+            out.append(c if c == 0 else Fraction(c, e) if is_exact(c) else c / e)
+        return type(self)._new(out, self.offset + 1,
+                               None if self.low is None else self.low + 1)
+
+    def shift(self, k: int):
+        """Multiply by t**k."""
+        return type(self)._new(list(self.dense), self.offset + k,
+                               None if self.low is None else self.low + k)
+
+    def truncate(self, low: int):
+        """Forget every coefficient below power ``low``."""
+        if self.low is not None:
+            low = max(low, self.low)
+        return type(self)._new(list(self.dense), self.offset, low)
+
+    def to_float(self):
+        return type(self)._new([float(c) for c in self.dense], self.offset, self.low)
+
+    def __call__(self, x):
+        """Value of the stored coefficients at x: Horner in x over the
+        powers >= 0 and in 1/x over the powers < 0."""
+        c, e = self.dense, self.offset
+        k = min(max(-e, 0), len(c))  # entries at negative powers
+        val = 0
+        for a in reversed(c[k:]):
+            val = val * x + a
+        if e > 0:
+            val = val * x ** e
+        if not k:
+            return val
+        neg = 0
+        for a in c[:k]:
+            neg = neg / x + a
+        for _ in range(1 - e - k):  # down from the highest negative power
+            neg = neg / x
+        return neg + val if k < len(c) else neg
+
+    def __repr__(self):
+        return f"Laurent({list(self.dense)!r}, offset={self.offset}, low={self.low})"
+
+
+class TaylorPoly(Laurent):
+    """Polynomial sum(c_m * x**m); also used for polynomial parts in X.
+
+    Reading a series through TaylorPoly keeps its powers >= 0.
+    """
+
+    __slots__ = ()
 
     def __init__(self, coeffs: Sequence = ()):
-        object.__setattr__(self, "coeffs", tuple(_trim(coeffs)))
-
-    def __setattr__(self, *a):  # immutable
-        raise AttributeError("TaylorPoly is immutable")
+        Laurent.__init__(self, coeffs)
 
     @staticmethod
-    def zero() -> "TaylorPoly":
-        return TaylorPoly(())
-
-    @staticmethod
-    def constant(c) -> "TaylorPoly":
-        return TaylorPoly((c,))
-
-    @staticmethod
-    def x(degree: int = 1) -> "TaylorPoly":
-        return TaylorPoly((0,) * degree + (1,))
+    def _norm(c: list, offset: int, low):
+        if low is not None and low > 0:
+            raise InsufficientTailError(f"polynomial part unknown below power {low}")
+        if offset < 0:
+            del c[:-offset]
+        elif offset > 0:
+            c[:0] = [0] * offset
+        while c and c[-1] == 0:
+            c.pop()
+        return tuple(c), 0, None
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coefficient(self, m: int):
-        if 0 <= m < len(self.coeffs):
-            return self.coeffs[m]
-        return 0
-
-    def __eq__(self, other):
-        return isinstance(other, TaylorPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other: "TaylorPoly") -> "TaylorPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return TaylorPoly(
-            [self.coefficient(m) + other.coefficient(m) for m in range(n)]
-        )
-
-    def __sub__(self, other: "TaylorPoly") -> "TaylorPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "TaylorPoly":
-        return TaylorPoly([-c for c in self.coeffs])
-
-    def scale(self, s) -> "TaylorPoly":
-        return TaylorPoly([s * c for c in self.coeffs])
-
-    def __mul__(self, other: "TaylorPoly") -> "TaylorPoly":
-        if self.is_zero() or other.is_zero():
-            return TaylorPoly.zero()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return TaylorPoly(out)
-
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def derivative(self) -> "TaylorPoly":
-        return TaylorPoly([m * c for m, c in enumerate(self.coeffs)][1:])
+        return len(self.dense) - 1  # -1 for the zero polynomial
 
     def integral(self, lower=0) -> "TaylorPoly":
         """Antiderivative vanishing at ``lower``."""
-        raw = [0] + [
-            c / (m + 1) if not is_exact(c) else Fraction(c, m + 1)
-            for m, c in enumerate(self.coeffs)
-        ]
-        prim = TaylorPoly(raw)
-        c0 = prim(lower)
-        return TaylorPoly([-c0] + list(raw[1:]))
-
-    def truncate(self, degree: int) -> "TaylorPoly":
-        return TaylorPoly(self.coeffs[: degree + 1])
-
-    def to_float(self) -> "TaylorPoly":
-        return TaylorPoly([float(c) for c in self.coeffs])
+        prim = Laurent.integral(self)
+        return prim - TaylorPoly([prim(lower)])
 
     def __repr__(self):
-        return f"TaylorPoly({list(self.coeffs)!r})"
+        return f"TaylorPoly({list(self.dense)!r})"
 
 
 def shift_slow(a: TaylorPoly) -> TaylorPoly:
@@ -144,261 +269,95 @@ def shift_slow(a: TaylorPoly) -> TaylorPoly:
     The defining identity a(x) = a(0) + x * shift_slow(a)(x) holds exactly
     on coefficients, and the degree drops by one.
     """
-    return TaylorPoly(a.coeffs[1:])
+    return a.shift(-1)
 
 
-class LaurentPoly:
+class LaurentPoly(Laurent):
     """Finite Laurent polynomial sum(c_m x**m), m = -K..M, exact pole order."""
 
-    __slots__ = ("offset", "coeffs")
+    __slots__ = ()
 
     def __init__(self, coeffs: Sequence = (), offset: int = 0):
-        # coeffs[i] multiplies x**(offset + i)
-        coeffs = list(coeffs)
-        while coeffs and coeffs[0] == 0:
-            coeffs.pop(0)
-            offset += 1
-        coeffs = _trim(coeffs)
-        if not coeffs:
-            offset = 0
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-        object.__setattr__(self, "offset", offset)
-
-    def __setattr__(self, *a):
-        raise AttributeError("LaurentPoly is immutable")
-
-    @staticmethod
-    def zero() -> "LaurentPoly":
-        return LaurentPoly(())
-
-    @staticmethod
-    def from_taylor(a: TaylorPoly) -> "LaurentPoly":
-        return LaurentPoly(a.coeffs, 0)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coefficient(self, m: int):
-        i = m - self.offset
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return 0
+        Laurent.__init__(self, coeffs, offset)  # coeffs[i] multiplies x**(offset + i)
 
     @property
     def pole_order(self) -> int:
         """Largest k with a nonzero x**-k coefficient (0 if regular)."""
         return max(0, -self.offset)
 
-    @property
-    def top_degree(self) -> int:
-        if not self.coeffs:
-            return 0
-        return self.offset + len(self.coeffs) - 1
-
     def regular_part(self) -> TaylorPoly:
-        return TaylorPoly(
-            [self.coefficient(m) for m in range(0, self.top_degree + 1)]
-        )
+        return TaylorPoly.part(self)
 
-    def pole_part(self) -> "LaurentPoly":
-        return LaurentPoly(
-            [self.coefficient(m) for m in range(self.offset, 0)], self.offset
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LaurentPoly)
-            and self.coeffs == other.coeffs
-            and self.offset == other.offset
-        )
-
-    def __hash__(self):
-        return hash((self.coeffs, self.offset))
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if self.is_zero():
+    def __add__(self, other):
+        if not self.dense:
             return other
-        if other.is_zero():
+        if not other.dense:
             return self
-        lo = min(self.offset, other.offset)
-        hi = max(self.top_degree, other.top_degree)
-        return LaurentPoly(
-            [self.coefficient(m) + other.coefficient(m) for m in range(lo, hi + 1)],
-            lo,
-        )
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly([-c for c in self.coeffs], self.offset)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, s) -> "LaurentPoly":
-        return LaurentPoly([s * c for c in self.coeffs], self.offset)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if self.is_zero() or other.is_zero():
-            return LaurentPoly.zero()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return LaurentPoly(out, self.offset + other.offset)
-
-    def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by x**k."""
-        return LaurentPoly(self.coeffs, self.offset + k)
-
-    def derivative(self) -> "LaurentPoly":
-        return LaurentPoly(
-            [(self.offset + i) * c for i, c in enumerate(self.coeffs)],
-            self.offset - 1,
-        )
-
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc * x ** self.offset
+        return Laurent.__add__(self, other)
 
     def __repr__(self):
-        return f"LaurentPoly({list(self.coeffs)!r}, offset={self.offset})"
+        return f"LaurentPoly({list(self.dense)!r}, offset={self.offset})"
 
 
-# ---------------------------------------------------------------------------
-# asymptotic tails at infinity
-
-
-class AsymTail:
+class AsymTail(Laurent):
     """Truncated series sum(g_m X**-m), m >= 1; no constant term by design.
 
     ``complete=True`` asserts that every coefficient beyond the stored ones
-    is exactly zero (the tail is a finite exact expression).
+    is exactly zero (the tail is a finite exact expression).  Reading a
+    series through AsymTail keeps its powers < 0, stored down to the known
+    bound.
     """
 
-    __slots__ = ("coeffs", "complete")
+    __slots__ = ()
 
     def __init__(self, coeffs: Sequence = (), complete: bool = False):
-        coeffs = list(coeffs)
-        if complete:
-            coeffs = _trim(coeffs)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-        object.__setattr__(self, "complete", bool(complete))
-
-    def __setattr__(self, *a):
-        raise AttributeError("AsymTail is immutable")
+        c = list(coeffs)[::-1]
+        Laurent.__init__(self, c, -len(c), None if complete else -len(c))
 
     @staticmethod
-    def zero() -> "AsymTail":
-        return AsymTail((), complete=True)
+    def _norm(c: list, offset: int, low):
+        top = offset + len(c) - 1
+        if top > -1:  # drop the powers >= 0
+            del c[max(0, len(c) - top - 1):]
+        else:
+            c.extend([0] * (-1 - top))
+        if low is None:
+            i = 0
+            while i < len(c) and c[i] == 0:
+                i += 1
+            del c[:i]
+        else:
+            low = min(low, 0)
+            if len(c) > -low:
+                del c[:len(c) + low]
+            else:
+                c[:0] = [0] * (-low - len(c))
+        return tuple(c), -len(c), low
+
+    @property
+    def coeffs(self) -> tuple:
+        """(g_1, g_2, ..., g_depth)."""
+        return self.dense[::-1]
+
+    @property
+    def complete(self) -> bool:
+        return self.low is None
 
     @property
     def depth(self) -> int:
-        """Largest m for which g_m is known (infinite when complete)."""
-        return len(self.coeffs)
+        """Largest m for which g_m is stored (every m when complete)."""
+        return len(self.dense)
 
     def known_to(self, m: int) -> bool:
-        return self.complete or m <= len(self.coeffs)
+        return self.low is None or -m >= self.low
 
     def coefficient(self, m: int):
-        """g_m for m >= 1; raises beyond the stored depth unless complete."""
+        """g_m for m >= 1; raises beyond the known depth."""
         if m < 1:
             raise SeriesError("tail indices start at m=1")
-        if m <= len(self.coeffs):
-            return self.coeffs[m - 1]
-        if self.complete:
-            return 0
-        raise InsufficientTailError(
-            f"tail coefficient m={m} beyond stored depth {len(self.coeffs)}"
-        )
+        return Laurent.coefficient(self, -m)
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, AsymTail):
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        def get(t, m):
-            return t.coeffs[m - 1] if m <= len(t.coeffs) else 0
-        return self.complete == other.complete and all(
-            get(self, m) == get(other, m) for m in range(1, n + 1)
-        )
-
-    def __hash__(self):
-        return hash((tuple(_trim(self.coeffs)), self.complete))
-
-    def _combine_depth(self, other: "AsymTail") -> int:
-        if self.complete and other.complete:
-            return -1  # marker: complete
-        if self.complete:
-            return other.depth
-        if other.complete:
-            return self.depth
-        return min(self.depth, other.depth)
-
-    def __add__(self, other: "AsymTail") -> "AsymTail":
-        d = self._combine_depth(other)
-        if d < 0:
-            n = max(self.depth, other.depth)
-            return AsymTail(
-                [self.coefficient(m) + other.coefficient(m) for m in range(1, n + 1)],
-                complete=True,
-            )
-        return AsymTail(
-            [self.coefficient(m) + other.coefficient(m) for m in range(1, d + 1)]
-        )
-
-    def __neg__(self):
-        return AsymTail([-c for c in self.coeffs], self.complete)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, s) -> "AsymTail":
-        return AsymTail([s * c for c in self.coeffs], self.complete)
-
-    def __mul__(self, other: "AsymTail") -> "AsymTail":
-        """Cauchy product; result starts at m=2."""
-        if self.complete and other.complete:
-            if not self.coeffs or not other.coeffs:
-                return AsymTail.zero()
-            depth = self.depth + other.depth
-            comp = True
-        else:
-            a = self.depth if not self.complete else other.depth
-            b = other.depth if not other.complete else self.depth
-            depth = min(a, b) + 1
-            comp = False
-        out = [0] * depth
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            for j, d_ in enumerate(other.coeffs):
-                m = i + j + 2
-                if m <= depth:
-                    out[m - 1] += c * d_
-        return AsymTail(out, complete=comp)
-
-    def derivative(self) -> "AsymTail":
-        """d/dX of sum(g_m X**-m) = sum(-m g_m X**-(m+1))."""
-        return AsymTail(
-            [0] + [-(m) * c for m, c in zip(range(1, self.depth + 1), self.coeffs)],
-            self.complete,
-        )
-
-    def partial_sum(self, X, terms: Optional[int] = None):
-        """Horner evaluation in 1/X of the first ``terms`` coefficients."""
-        n = self.depth if terms is None else min(terms, self.depth)
-        acc = 0.0
-        for m in range(n, 0, -1):
-            acc = acc / X + self.coeffs[m - 1]
-        return acc / X if n else 0.0
-
-    def to_float(self) -> "AsymTail":
-        return AsymTail([float(c) for c in self.coeffs], self.complete)
+    partial_sum = Laurent.__call__  # Horner in 1/X over the stored coefficients
 
     def __repr__(self):
         star = ", complete" if self.complete else ""
@@ -407,11 +366,7 @@ class AsymTail:
 
 def shift_fast(g: AsymTail) -> AsymTail:
     """Drop g_1 and reindex: the tail of X*g(X) - g_1."""
-    if not g.coeffs:
-        if g.complete:
-            return g
-        raise InsufficientTailError("cannot shift an empty non-complete tail")
-    return AsymTail(g.coeffs[1:], g.complete)
+    return g.shift(1)
 
 
 # ---------------------------------------------------------------------------
@@ -448,25 +403,15 @@ class BasisTerm:
         from . import special  # cycle-free at call time
 
         if self.kind == "u":
-            poly, tail = special.u_tail(self.p, self.k, depth).to_poly_tail()
-            if not poly.is_zero():
-                raise SeriesError("u basis term with polynomial growth")
-            return tail.scale(self.coef)
+            return special.u_tail(self.p, self.k, depth).scale(self.coef)
         if self.kind == "exp_poly":
             return AsymTail((), complete=True)  # flat: every tail coefficient is 0
         if self.kind == "dawson":
-            # D' = 1 - 2 X D  =>  D = (1 - D')/(2X)
-            coeffs = [0] * depth
-            cur = {}
+            # D' = 1 - 2 X D  =>  D = (1 - D')/(2X), iterated to its fixed point
+            d = Laurent()
             for _ in range(depth + 2):
-                new = {1: Fraction(1, 2)}
-                for m, c in cur.items():
-                    # derivative term: -(m) c X^-(m+1) -> divided by 2X
-                    new[m + 2] = new.get(m + 2, 0) + Fraction(m, 2) * c
-                cur = {m: c for m, c in new.items() if m <= depth}
-            for m, c in cur.items():
-                coeffs[m - 1] = self.coef * c
-            return AsymTail(coeffs)
+                d = (Laurent([1]) - d.derivative()).shift(-1).scale(Fraction(1, 2)).truncate(-depth)
+            return AsymTail.part(d).scale(self.coef)
         if self.kind == "ell_prime":
             # X^(p-1)/(X^p+1) = sum_{j>=0} (-1)^j X^(-jp-1)
             coeffs = [0] * depth
@@ -671,9 +616,6 @@ class FastFn:
                 )
         return FastFn(tail)
 
-    def re_tail(self, tail: AsymTail) -> "FastFn":
-        return FastFn(tail, self.basis, self.evaluator, self.exact, self.domain)
-
     def to_json(self):
         d = {
             "tail": [scalar_to_json(c) for c in self.tail.coeffs],
@@ -832,7 +774,7 @@ class CombinedSeries:
 
     @staticmethod
     def from_scalar(p: int, N: int, c) -> "CombinedSeries":
-        return CombinedSeries(p, N, slow=[TaylorPoly.constant(c)])
+        return CombinedSeries(p, N, slow=[TaylorPoly([c])])
 
     # -- structure ----------------------------------------------------------
 
@@ -1047,22 +989,12 @@ def _fast_antiderivative(g: FastFn, g1, p: int) -> FastFn:
     """H(X) = integral_{sigma*inf}^X (g - g1*ell') with ell' = X^(p-1)/(X^p+1);
     reduces to G(X) = -integral_X^inf g when g1 == 0."""
     from . import special
-    # tail: integrate termwise; ell' contributes at m = j*p+1
-    depth = g.tail.depth if not g.tail.complete else max(g.tail.depth, DEFAULT_TAIL_DEPTH)
-    h = [0] * depth  # integrand tail coefficients h_m
-    for m in range(2, depth + 1):
-        h[m - 1] = g.tail.coefficient(m)
+
+    h = g.tail  # integrand tail, with g1*ell' taken off (its X^-1 term is g1)
     if g1 != 0:
-        j = 1
-        while j * p + 1 <= depth:
-            h[j * p] = h[j * p] - g1 * (-1) ** j
-            j += 1
-    out = [0] * max(0, depth - 1)
-    for mu in range(1, depth):
-        c = h[mu]  # h_{mu+1}
-        if c != 0:
-            out[mu - 1] = Fraction(-c, mu) if is_exact(c) else -c / mu
-    tail = AsymTail(out, complete=g.tail.complete and g1 == 0)
+        depth = max(h.depth, DEFAULT_TAIL_DEPTH) if h.complete else h.depth
+        h = h - BasisTerm("ell_prime", p=p, coef=g1).tail(depth)
+    tail = h.integral()
     if g.exact and g1 == 0:
         return FastFn(tail, (), None, exact=True)
     if not g.can_eval:
@@ -1123,17 +1055,8 @@ def extract_outer(y: CombinedSeries, n: int) -> LaurentPoly:
     collected from the tails of the lower fast parts."""
     if not 0 <= n < y.N:
         raise SeriesError(f"order {n} outside truncation {y.N}")
-    out = LaurentPoly.from_taylor(y.slow[n])
-    for l in range(n):
-        m = n - l
-        if not y.fast[l].tail.known_to(m):
-            raise InsufficientTailError(
-                f"outer order {n} needs tail depth {m} at fast order {l}"
-            )
-        g_lm = y.fast[l].tail.coefficient(m)
-        if g_lm != 0:
-            out = out + LaurentPoly([g_lm], l - n)
-    return out
+    poles = [y.fast[n - m].tail.coefficient(m) for m in range(n, 0, -1)]
+    return LaurentPoly.part(y.slow[n]) + LaurentPoly(poles, -n)
 
 
 def extract_inner(y: CombinedSeries, n: int) -> tuple:
@@ -1146,6 +1069,66 @@ def extract_inner(y: CombinedSeries, n: int) -> tuple:
     return poly, y.fast[n].tail
 
 
+def check_matching(outer: Sequence[LaurentPoly], inner: Sequence[tuple],
+                   tol: float = 1e-9) -> None:
+    """Check the matching identity c_{n,m} = z_{n+m,-m} between outer
+    coefficients (one LaurentPoly in x per eta-order n) and inner ones (one
+    (TaylorPoly, AsymTail) pair in X per eta-order).
+
+    Both sides are compared both ways: every outer pole coefficient against
+    the tail coefficient that must carry it, every known tail coefficient
+    against its outer partner, and the inner polynomials against the outer
+    Taylor coefficients on each anti-diagonal.  Values that are both exact
+    compare exactly, others to ``tol``.  A pole coefficient beyond its
+    tail's known depth raises InsufficientTailError; a pole order or
+    polynomial degree above n raises InfeasibleError; the first violated
+    identity raises CompatibilityError with its (n, m).
+    """
+    N = min(len(outer), len(inner))
+    for n in range(N):
+        if outer[n].pole_order > n:
+            raise InfeasibleError(
+                f"outer order {n} has pole order {outer[n].pole_order} > {n}",
+                n=n, pole=outer[n].pole_order, bound=n,
+            )
+        if inner[n][0].degree > n:
+            raise InfeasibleError(
+                f"inner order {n} has polynomial degree {inner[n][0].degree} > {n}",
+                n=n, pole=inner[n][0].degree, bound=n,
+            )
+
+    def close(a, b):
+        if tol == 0 or (is_exact(a) and is_exact(b)):
+            return a == b
+        return abs(float(a) - float(b)) <= tol
+
+    # pole side: c_{n,-mu} against the tail coefficient g_{n-mu, mu}
+    for n in range(N):
+        v = outer[n]
+        for mu in range(1, n + 1):
+            t = inner[n - mu][1]
+            if mu > v.pole_order and not t.known_to(mu):
+                continue  # zero outer coefficient, tail not known there
+            c, z = v.coefficient(-mu), t.coefficient(mu)
+            if not close(c, z):
+                raise CompatibilityError(
+                    f"matching violated at outer order n={n}, pole x^-{mu}: "
+                    f"{c} != tail coefficient {z}",
+                    n=n, m=-mu,
+                )
+    # polynomial side: inner coefficient of X^l against c_{n-l, l}
+    for n in range(N):
+        poly = inner[n][0]
+        for l in range(n + 1):
+            z, c = poly.coefficient(l), outer[n - l].coefficient(l)
+            if not close(z, c):
+                raise CompatibilityError(
+                    f"matching violated at inner order n={n}, X^{l}: "
+                    f"{z} != outer coefficient {c}",
+                    n=n, m=l,
+                )
+
+
 def reconstruct_from_matching(
     outer: Sequence[LaurentPoly],
     inner: Sequence[tuple],
@@ -1155,57 +1138,12 @@ def reconstruct_from_matching(
     """Rebuild a combined series from outer and inner expansion coefficients.
 
     slow_n is the regular part of outer[n]; the fast tail at order n is the
-    tail part of inner[n].  Every overlapping coefficient must satisfy the
-    matching identity c_{n,m} = z_{n+m,-m}; the first violation (and any
-    pole-order or degree violation) aborts the reconstruction.
+    tail part of inner[n].  The data must pass ``check_matching``.
     """
+    check_matching(outer, inner, tol)
     N = min(len(outer), len(inner))
-    for n in range(N):
-        if outer[n].pole_order > n:
-            raise InfeasibleError(
-                f"outer order {n} has pole order {outer[n].pole_order} > {n}",
-                n=n, pole=outer[n].pole_order, bound=n,
-            )
-        poly_n = inner[n][0]
-        if poly_n.degree > n:
-            raise InfeasibleError(
-                f"inner order {n} has polynomial degree {poly_n.degree} > {n}",
-                n=n, pole=poly_n.degree, bound=n,
-            )
-
-    def close(a, b):
-        if tol == 0:
-            return a == b
-        return abs(float(a) - float(b)) <= tol
-
-    slow = [outer[n].regular_part() for n in range(N)]
-    fast = [FastFn(inner[n][1]) for n in range(N)]
-
-    # pole side: c_{n,-mu} must equal the tail coefficient g_{n-mu, mu}
-    for n in range(N):
-        for mu in range(1, n + 1):
-            c = outer[n].coefficient(-mu)
-            t = inner[n - mu][1]
-            z = t.coefficient(mu) if t.known_to(mu) else 0
-            if not close(c, z):
-                raise CompatibilityError(
-                    f"matching violated at outer order n={n}, pole x^-{mu}: "
-                    f"{c} != tail coefficient {z}",
-                    n=n, m=-mu,
-                )
-    # polynomial side: inner poly coeff of X^l must equal c_{n-l, l}
-    for n in range(N):
-        poly_n = inner[n][0]
-        for l in range(0, min(poly_n.degree, n) + 1):
-            z = poly_n.coefficient(l)
-            c = outer[n - l].coefficient(l)
-            if not close(z, c):
-                raise CompatibilityError(
-                    f"matching violated at inner order n={n}, X^{l}: "
-                    f"{z} != outer coefficient {c}",
-                    n=n, m=l,
-                )
-    return CombinedSeries(p, N, slow, fast)
+    return CombinedSeries(p, N, [outer[n].regular_part() for n in range(N)],
+                          [FastFn(inner[n][1]) for n in range(N)])
 
 
 def evaluate_partial_sum(y: CombinedSeries, x, eta, N: Optional[int] = None):

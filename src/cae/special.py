@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from types import MappingProxyType
 from typing import Callable, Optional
 
 import numpy as np
@@ -30,10 +29,9 @@ from .errors import (
     BlowupError,
     CaeError,
     DomainError,
-    InsufficientTailError,
     SeriesError,
 )
-from .series import AsymTail, TaylorPoly
+from .series import AsymTail, Laurent, TaylorPoly
 
 EXP_CAP = 700.0  # |X|**p beyond this would overflow exp() in double precision
 _QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=200)
@@ -50,205 +48,55 @@ def _check_p(p: int):
 
 
 # ---------------------------------------------------------------------------
-# series at infinity (polynomial part + decaying tail)
-
-
-class InfSeries:
-    """Truncated expansion sum c_m X**-m with m from -top_degree to depth.
-
-    ``depth`` records up to which m the coefficients are known; complete
-    series (finite exact expressions) use depth = None.  ``coeffs`` is a
-    read-only mapping, so a shared (cached) series cannot be altered.
-    """
-
-    __slots__ = ("coeffs", "depth")
-
-    def __init__(self, coeffs: dict, depth: Optional[int]):
-        cleaned = {}
-        for m, c in coeffs.items():
-            if c == 0:
-                continue
-            if depth is not None and m > depth:
-                continue
-            cleaned[m] = c
-        object.__setattr__(self, "coeffs",
-                           MappingProxyType(dict(sorted(cleaned.items()))))
-        object.__setattr__(self, "depth", depth)
-
-    def __setattr__(self, *a):
-        raise AttributeError("InfSeries is immutable")
-
-    @staticmethod
-    def zero(depth=None):
-        return InfSeries({}, depth)
-
-    @staticmethod
-    def from_poly_tail(poly: TaylorPoly, tail: AsymTail,
-                       depth: Optional[int] = None) -> "InfSeries":
-        coeffs = {-m: c for m, c in enumerate(poly.coeffs)}
-        for m in range(1, tail.depth + 1):
-            coeffs[m] = tail.coefficient(m)
-        if depth is None:
-            depth = None if tail.complete else tail.depth
-        return InfSeries(coeffs, depth)
-
-    def to_poly_tail(self) -> tuple:
-        poly = []
-        top = -min(self.coeffs.keys(), default=0)
-        poly = [self.coeffs.get(-d, 0) for d in range(0, max(0, top) + 1)]
-        d = self.depth if self.depth is not None else max(
-            [m for m in self.coeffs if m > 0], default=0
-        )
-        tail = AsymTail(
-            [self.coeffs.get(m, 0) for m in range(1, d + 1)],
-            complete=self.depth is None,
-        )
-        return TaylorPoly(poly), tail
-
-    @property
-    def top_degree(self) -> int:
-        return -min(self.coeffs.keys(), default=0)
-
-    def coefficient(self, m):
-        if self.depth is not None and m > self.depth:
-            raise InsufficientTailError(f"coefficient m={m} beyond depth {self.depth}")
-        return self.coeffs.get(m, 0)
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __add__(self, other: "InfSeries") -> "InfSeries":
-        if self.depth is None:
-            depth = other.depth
-        elif other.depth is None:
-            depth = self.depth
-        else:
-            depth = min(self.depth, other.depth)
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            out[m] = out.get(m, 0) + c
-        return InfSeries(out, depth)
-
-    def __neg__(self):
-        return InfSeries({m: -c for m, c in self.coeffs.items()}, self.depth)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, s):
-        return InfSeries({m: s * c for m, c in self.coeffs.items()}, self.depth)
-
-    def __mul__(self, other: "InfSeries") -> "InfSeries":
-        if self.is_zero() or other.is_zero():
-            dep = None if (self.depth is None and other.depth is None) else \
-                min(d for d in (self.depth, other.depth) if d is not None)
-            return InfSeries.zero(dep)
-        if self.depth is None and other.depth is None:
-            depth = None
-        else:
-            d1 = self.depth if self.depth is not None else math.inf
-            d2 = other.depth if other.depth is not None else math.inf
-            depth = int(min(d1 - other.top_degree, d2 - self.top_degree))
-        out = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                m = m1 + m2
-                if depth is None or m <= depth:
-                    out[m] = out.get(m, 0) + c1 * c2
-        return InfSeries(out, depth)
-
-    def derivative(self) -> "InfSeries":
-        depth = None if self.depth is None else self.depth + 1
-        return InfSeries(
-            {m + 1: -m * c for m, c in self.coeffs.items() if m != 0}, depth
-        )
-
-    def shift_pow(self, k: int) -> "InfSeries":
-        """Multiply by X**k."""
-        depth = None if self.depth is None else self.depth - k
-        return InfSeries({m - k: c for m, c in self.coeffs.items()}, depth)
-
-    def truncate(self, depth: int) -> "InfSeries":
-        return InfSeries(self.coeffs, depth)
-
-    def partial_sum(self, X):
-        return math.fsum(float(c) * float(X) ** (-m) for m, c in self.coeffs.items())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, InfSeries)
-            and self.coeffs == other.coeffs
-            and self.depth == other.depth
-        )
-
-    def __repr__(self):
-        return f"InfSeries({dict(self.coeffs)!r}, depth={self.depth})"
-
-
-# ---------------------------------------------------------------------------
 # formal tails of the linear flow
 
 
-def tail_of_j_series(p: int, v: InfSeries, depth: int) -> InfSeries:
-    """Formal expansion at infinity of the polynomial-growth solution of
-    U' = p X**(p-1) U + v, by iterating U <- (U' - v)/(p X**(p-1)).
+def tail_of_j_series(p: int, v: Laurent, depth: int) -> Laurent:
+    """Formal expansion at infinity (a Laurent series in X) of the
+    polynomial-growth solution of U' = p X**(p-1) U + v, by iterating
+    U <- (U' - v)/(p X**(p-1)).
 
     Each pass gains p-1 orders, so the iteration terminates; the result is
-    exact when v's coefficients are exact.  v truncated at depth d yields a
-    result trusted to depth d + p - 1 at most.
+    exact when v's coefficients are exact.  v known down to X**-d yields a
+    result known down to X**-(d + p - 1) at most.
     """
     _check_p(p)
-    if v.depth is not None:
-        depth = min(depth, v.depth + p - 1)
-    vv = v.truncate(depth) if v.depth is None else v
-
-    def step(u: InfSeries) -> InfSeries:
-        src = u.derivative() - vv
-        out = {}
-        for m, c in src.coeffs.items():
-            mm = m + p - 1
-            if mm <= depth:
-                out[mm] = Fraction(c, p) if is_exact(c) else c / p
-        return InfSeries(out, depth)
-
-    u = InfSeries.zero(depth)
+    if v.low is not None:
+        depth = min(depth, p - 1 - v.low)
+    v = Laurent.part(v).truncate(-depth)
+    u = Laurent((), 0, -depth)
     passes = (depth + v.top_degree + p) // (p - 1) + 3
     for _ in range(passes):
-        u2 = step(u)
+        src = (u.derivative() - v).shift(1 - p)  # known below X**-depth
+        u2 = Laurent([0 if c == 0 else Fraction(c, p) if is_exact(c) else c / p
+                      for c in src.dense], src.offset, -depth)
         if u2 == u:
             break
         u = u2
     return u
 
 
-def tail_of_j(p: int, sigma: int, v_poly, depth: int,
+def tail_of_j(p: int, sigma: int, v: Laurent, depth: int,
               v_tail: Optional[AsymTail] = None):
-    """Formal (polynomial part, tail) of the J-image of v.
-
-    ``v_poly`` may be a TaylorPoly (with optional ``v_tail``) or an
-    InfSeries.  The expansion is side-independent; ``sigma`` only selects
-    which function realizes it.
+    """Formal (polynomial part, tail) of the J-image of v (a TaylorPoly,
+    optionally plus ``v_tail``, or any Laurent series in X).  The expansion
+    is side-independent; ``sigma`` only selects which function realizes it.
     """
-    if isinstance(v_poly, InfSeries):
-        v = v_poly
-    else:
-        v = InfSeries.from_poly_tail(
-            v_poly, v_tail if v_tail is not None else AsymTail((), complete=True)
-        )
-    u = tail_of_j_series(p, v, depth)
-    return u.to_poly_tail()
+    u = tail_of_j_series(p, v if v_tail is None else v + v_tail, depth)
+    return TaylorPoly.part(u), AsymTail.part(u)
 
 
 _U_TAIL_CACHE: dict = {}
 
 
-def u_tail(p: int, k: int, depth: int = 16) -> InfSeries:
+def u_tail(p: int, k: int, depth: int = 16) -> AsymTail:
     """Formal tail of U_k (same series for both sides), derived once per
-    (p, k, depth) per process; the shared InfSeries is immutable."""
+    (p, k, depth) per process; the shared AsymTail is immutable."""
     key = (p, k, depth)
     if key not in _U_TAIL_CACHE:
-        v = InfSeries({-(k - 1): 1}, None)
-        _U_TAIL_CACHE[key] = tail_of_j_series(p, v, depth)
+        if not 1 <= k <= p - 1:
+            raise SeriesError(f"k={k} outside 1..{p - 1}")
+        _U_TAIL_CACHE[key] = AsymTail.part(tail_of_j_series(p, Laurent([1], k - 1), depth))
     return _U_TAIL_CACHE[key]
 
 
@@ -348,7 +196,7 @@ class RayFn:
     sigma: int
     fn: Callable
     domain: tuple
-    tail: Optional[InfSeries] = None
+    tail: Optional[Laurent] = None
     dfn: Optional[Callable] = None
 
     def _eval(self, f, X):
@@ -376,7 +224,7 @@ def apply_j(
     p: int,
     sigma: int,
     v,
-    v_series: Optional[InfSeries] = None,
+    v_series: Optional[Laurent] = None,
     X_far: Optional[float] = None,
     depth: int = 16,
     grid_n: int = 2048,
@@ -415,7 +263,7 @@ def apply_j(
         c = float(v)
         v_fn = lambda X: c
         if v_series is None:
-            v_series = InfSeries({0: v}, None)
+            v_series = Laurent([v])
     if v_series is None:
         raise SeriesError("apply_j needs the formal expansion of v for anchoring")
 
@@ -436,7 +284,7 @@ def apply_j(
     forced = np.bincount(cell, weights=panel, minlength=grid_n - 1)
     decay = np.exp(np.diff(pw))
 
-    us = [u_series.partial_sum(x0)]
+    us = [float(u_series(x0))]
     for d, f in zip(decay.tolist(), forced.tolist()):
         us.append(d * us[-1] + f)
     us = np.array(us)

@@ -26,7 +26,6 @@ from ._scalar import is_exact, scalar_from_json, scalar_to_json
 from .errors import (
     BlowupError,
     CaeError,
-    CompatibilityError,
     InfeasibleError,
     SeriesError,
 )
@@ -35,12 +34,13 @@ from .series import (
     BasisTerm,
     CombinedSeries,
     FastFn,
+    Laurent,
     LaurentPoly,
     TaylorPoly,
+    check_matching,
     shift_slow,
 )
-from . import special
-from .special import InfSeries, RayFn, apply_j, tail_of_j_series
+from .special import RayFn, apply_j, tail_of_j_series
 
 
 class UnsupportedExpansionError(CaeError):
@@ -239,7 +239,7 @@ def outer_expansion(spec: ODESpec, N: int) -> OuterExpansion:
         return table[m]
 
     for n in range(1, N + 1):
-        h_prev = LaurentPoly.from_taylor(spec.h_coeff_poly(n - 1))
+        h_prev = LaurentPoly.part(spec.h_coeff_poly(n - 1))
         q_n = LaurentPoly.zero()
         for (j, k, l), c in spec.P.items():
             m = n - l
@@ -294,7 +294,7 @@ def _j_monomial(p: int, sigma: int, l: int):
     if l <= p - 2:
         return TaylorPoly.zero(), [BasisTerm("u", p, l + 1, sigma, Fraction(1))]
     if l == p - 1:
-        return TaylorPoly.constant(Fraction(-1, p)), []
+        return TaylorPoly([Fraction(-1, p)]), []
     poly, terms = _j_monomial(p, sigma, l - p)
     coef = Fraction(l - p + 1, p)
     head = TaylorPoly([0] * (l - p + 1) + [Fraction(-1, p)])
@@ -315,8 +315,8 @@ class InnerCoeff:
     ray: Optional[RayFn] = None
 
     @property
-    def formal(self) -> InfSeries:
-        return InfSeries.from_poly_tail(self.poly, self.tail)
+    def formal(self) -> Laurent:
+        return self.poly + self.tail
 
     def __call__(self, X):
         """W_n(X), elementwise for an array X."""
@@ -478,17 +478,17 @@ def inner_expansion(
                 val = val + prod
             return val
 
-        v_formal = InfSeries.from_poly_tail(g_poly, AsymTail((), complete=True))
+        v_formal = Laurent.part(g_poly)
         for (c, j, _), fl in zip(extra_terms, factors):
-            term = InfSeries({-j: c}, None)
+            term = Laurent([c], j)
             for f in fl:
                 term = term * f.formal
             v_formal = v_formal + term
         ray = apply_j(p, sigma, v_fn, v_series=v_formal, X_far=X_far, depth=depth)
-        poly_part, tail = ray.tail.to_poly_tail()
         solved.append(
-            InnerCoeff(order=r + m, sigma=sigma, poly=poly_part.to_float(),
-                       tail=tail.to_float(), ray=ray)
+            InnerCoeff(order=r + m, sigma=sigma,
+                       poly=TaylorPoly.part(ray.tail).to_float(),
+                       tail=AsymTail.part(ray.tail).to_float(), ray=ray)
         )
         coeffs[r + m] = solved[-1]
     return InnerExpansion(p=p, r=r, sigma=sigma, coeffs=tuple(coeffs))
@@ -528,19 +528,19 @@ def _reduced_nonlinear_leading(spec: ODESpec, sigma: int, X_far=None,
 
     # formal tail of the nonlinear solution, by the same fixed-point
     # inversion with the nonlinear terms folded in iteratively
-    v0 = InfSeries({-(r - 1): c}, None)
+    v0 = Laurent([c], r - 1)
     u = tail_of_j_series(p, v0, depth)
     for _ in range(4):
         v = v0
         for (j, k), cc in qterms:
-            term = InfSeries({-j: cc}, None)
+            term = Laurent([cc], j)
             for _i in range(k + 1):
                 term = term * u
             v = v + term
         u = tail_of_j_series(p, v, depth)
 
     x0 = sigma * X_far
-    y0 = u.partial_sum(x0)
+    y0 = float(u(x0))
     cap = 1e6
     blow = lambda X, y: abs(y[0]) - cap
     blow.terminal = True
@@ -554,11 +554,10 @@ def _reduced_nonlinear_leading(spec: ODESpec, sigma: int, X_far=None,
             where=where,
         )
     dense = sol.sol
-    poly_part, tail = u.to_poly_tail()
     ray = RayFn(sigma=sigma, fn=lambda X: dense(X)[0],
                 domain=(min(x0, 0.0), max(x0, 0.0)), tail=u)
-    return InnerCoeff(order=r, sigma=sigma, poly=poly_part.to_float(),
-                      tail=tail.to_float(), ray=ray)
+    return InnerCoeff(order=r, sigma=sigma, poly=TaylorPoly.part(u).to_float(),
+                      tail=AsymTail.part(u).to_float(), ray=ray)
 
 
 # ---------------------------------------------------------------------------
@@ -583,61 +582,19 @@ def combined_from_matching(
     if not feas:
         raise InfeasibleError(feas.message, n=feas.witness, pole=feas.pole,
                               bound=feas.bound)
-    depth = max([16] + [v.pole_order for n, v in enumerate(outer.orders)
-                        if 0 < spec.p * n < N])
+    p = spec.p
+    outer_n = [LaurentPoly.zero()] * N  # v_n sits at eta-order p*n
+    for n, v in enumerate(outer.orders):
+        if 0 < p * n < N:
+            outer_n[p * n] = v
+    depth = max([16] + [v.pole_order for v in outer_n])
     inner = inner_expansion(spec, N, sigma, depth=depth)
-    exact = spec.exact and spec.linear_in_y
-
-    def close(a, b):
-        if exact:
-            return a == b
-        return abs(float(a) - float(b)) <= tol
-
-    slow = [TaylorPoly.zero() for _ in range(N)]
-    for n in range(1, len(outer)):
-        if spec.p * n < N:
-            slow[spec.p * n] = outer.orders[n].regular_part()
-
-    fast = [FastFn.zero() for _ in range(N)]
-    for n in range(N):
-        w = inner.coeff(n)
-        if w is None:
-            continue
-        # polynomial part must reproduce the slow Taylor anti-diagonal
-        expected = TaylorPoly([slow[n - l].coefficient(l) for l in range(n + 1)])
-        hi = max(w.poly.degree, expected.degree)
-        if w.poly.degree > n:
-            raise InfeasibleError(
-                f"inner order {n} polynomial degree {w.poly.degree} exceeds {n}",
-                n=n, pole=w.poly.degree, bound=n,
-            )
-        for l in range(hi + 1):
-            if not close(w.poly.coefficient(l), expected.coefficient(l)):
-                raise CompatibilityError(
-                    f"inner polynomial at order n={n}, X^{l}: "
-                    f"{w.poly.coefficient(l)} != outer value {expected.coefficient(l)}",
-                    n=n, m=l,
-                )
-        fast[n] = w.fast_part()
-
-    # outer pole parts against the fast tails
-    for n in range(1, len(outer)):
-        m_eta = spec.p * n
-        if m_eta >= N:
-            break
-        v = outer.orders[n]
-        for mu in range(1, v.pole_order + 1):
-            cval = v.coefficient(-mu)
-            src = m_eta - mu
-            t = fast[src].tail if 0 <= src < N else AsymTail.zero()
-            zval = t.coefficient(mu) if t.known_to(mu) else 0
-            if not close(cval, zval):
-                raise CompatibilityError(
-                    f"outer pole at eps-order {n}, x^-{mu}: {cval} != "
-                    f"fast tail value {zval}",
-                    n=m_eta, m=-mu,
-                )
-    return CombinedSeries(spec.p, N, slow, fast)
+    zero = (TaylorPoly.zero(), AsymTail.zero())
+    check_matching(outer_n, [zero if w is None else (w.poly, w.tail)
+                             for w in inner.coeffs], tol)
+    return CombinedSeries(p, N, [v.regular_part() for v in outer_n],
+                          [FastFn.zero() if w is None else w.fast_part()
+                           for w in inner.coeffs])
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ class TestGevreyFit:
     def test_u_tail_is_gevrey_half(self):
         t = u_tail(2, 1, depth=24)
         mags = [0.0] * 25
-        for m, c in t.coeffs.items():
+        for m, c in enumerate(t.coeffs, start=1):
             mags[m] = abs(float(c))
         assert mags[1:6] == [0.5, 0.0, 0.25, 0.0, 0.375]
         fit = gevrey_fit(mags, 2)

@@ -13,12 +13,12 @@ from scipy import integrate
 
 from cae.errors import BlowupError, CaeError, InfeasibleError, SeriesError
 from cae.series import (
+    Laurent,
     LaurentPoly,
     TaylorPoly,
     evaluate_partial_sum,
 )
 from cae import special
-from cae.special import InfSeries
 from cae.turning import (
     ODESpec,
     UnsupportedExpansionError,
@@ -108,7 +108,7 @@ class TestOuterExpansion:
                 return tab[m]
             for n in range(1, N + 1):
                 rhs = LaurentPoly([spec.p]).shift(p - 1) * ysum[n]
-                rhs = rhs + LaurentPoly.from_taylor(spec.h_coeff_poly(n - 1))
+                rhs = rhs + LaurentPoly.part(spec.h_coeff_poly(n - 1))
                 for (j, k, l), c in spec.P.items():
                     m = n - l
                     if m >= k + 1:
@@ -167,7 +167,7 @@ class TestInnerExpansion:
             assert w1(X) == pytest.approx(u0(X), abs=1e-8)
         w2 = inner.coeff(2)  # forcing 3X
         u1 = special.apply_j(4, -1, lambda X: 3.0 * X,
-                             v_series=InfSeries({-1: 3.0}, None))
+                             v_series=Laurent([3.0], 1))
         for X in (-2.0, -1.0):
             assert w2(X) == pytest.approx(u1(X), abs=1e-8)
 
