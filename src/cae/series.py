@@ -14,6 +14,7 @@ the purely algebraic operations.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -33,6 +34,12 @@ DEFAULT_TAIL_DEPTH = 8
 
 # ---------------------------------------------------------------------------
 # the truncated-Laurent core and its three views
+
+
+def _window(c, offset: int, lo: int, hi: int) -> list:
+    """Coefficients of the powers lo..hi of the storage ``c`` starting at
+    power ``offset``: stored values where there are any, int 0 elsewhere."""
+    return [c[e - offset] if 0 <= e - offset < len(c) else 0 for e in range(lo, hi + 1)]
 
 
 class Laurent:
@@ -73,11 +80,8 @@ class Laurent:
             offset = low
         while c and c[-1] == 0:
             c.pop()
-        i = 0
-        while i < len(c) and c[i] == 0:
-            i += 1
-        del c[:i]
-        return tuple(c), offset + i if c else 0, low
+        i = next((i for i, x in enumerate(c) if x != 0), len(c))  # leading zeros
+        return tuple(c[i:]), offset + i if c else 0, low
 
     @classmethod
     def part(cls, s: "Laurent"):
@@ -132,10 +136,8 @@ class Laurent:
             out = [x + y for x, y in zip(a, b)]
         else:
             lo = min(ea if a else eb, eb if b else ea)
-            hi = max(ea + len(a), eb + len(b))
-            pa = [0] * (ea - lo) + list(a) + [0] * (hi - ea - len(a)) if a else [0] * (hi - lo)
-            pb = [0] * (eb - lo) + list(b) + [0] * (hi - eb - len(b)) if b else [0] * (hi - lo)
-            out = [x + y for x, y in zip(pa, pb)]
+            hi = max(ea + len(a), eb + len(b)) - 1
+            out = [x + y for x, y in zip(_window(a, ea, lo, hi), _window(b, eb, lo, hi))]
             ea = lo
         lows = [l for l in (self.low, other.low) if l is not None]
         return self._cls(other)._new(out, ea, max(lows) if lows else None)
@@ -164,13 +166,8 @@ class Laurent:
         skip = 0 if low is None else low - e  # first index i + j kept
         out = [0] * (len(a) + len(b) - 1) if a and b else []
         for i, x in enumerate(a):
-            if x == 0:
-                continue
-            if skip - i <= 0:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-            else:
-                for j in range(skip - i, len(b)):
+            if x != 0:
+                for j in range(max(0, skip - i), len(b)):
                     out[i + j] += x * b[j]
         return cls._new(out, e, low)
 
@@ -242,10 +239,8 @@ class TaylorPoly(Laurent):
     def _norm(c: list, offset: int, low):
         if low is not None and low > 0:
             raise InsufficientTailError(f"polynomial part unknown below power {low}")
-        if offset < 0:
-            del c[:-offset]
-        elif offset > 0:
-            c[:0] = [0] * offset
+        if offset:
+            c = _window(c, offset, 0, offset + len(c) - 1)
         while c and c[-1] == 0:
             c.pop()
         return tuple(c), 0, None
@@ -316,22 +311,12 @@ class AsymTail(Laurent):
 
     @staticmethod
     def _norm(c: list, offset: int, low):
-        top = offset + len(c) - 1
-        if top > -1:  # drop the powers >= 0
-            del c[max(0, len(c) - top - 1):]
-        else:
-            c.extend([0] * (-1 - top))
-        if low is None:
-            i = 0
-            while i < len(c) and c[i] == 0:
-                i += 1
-            del c[:i]
-        else:
-            low = min(low, 0)
-            if len(c) > -low:
-                del c[:len(c) + low]
-            else:
-                c[:0] = [0] * (-low - len(c))
+        low = None if low is None else min(low, 0)
+        lo = offset if low is None else low
+        if lo != offset or offset + len(c) != 0:  # not stored on lo..-1 yet
+            c = _window(c, offset, lo, -1)
+        if low is None:  # trim the zeros at the deep end
+            c = c[next((i for i, x in enumerate(c) if x != 0), len(c)):]
         return tuple(c), -len(c), low
 
     @property
@@ -373,6 +358,7 @@ def shift_fast(g: AsymTail) -> AsymTail:
 # evaluable fast coefficients
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class BasisTerm:
     """Closed-form decaying basis element, coef times one of:
 
@@ -383,18 +369,12 @@ class BasisTerm:
     - kind "ell_prime": X**(p-1)/(X**p + 1), the log-kernel derivative.
     """
 
-    __slots__ = ("kind", "p", "k", "sigma", "coef", "poly")
-
-    def __init__(self, kind, p=2, k=1, sigma=-1, coef=1, poly=None):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "coef", coef)
-        object.__setattr__(self, "poly", poly)
-
-    def __setattr__(self, *a):
-        raise AttributeError("BasisTerm is immutable")
+    kind: str
+    p: int = 2
+    k: int = 1
+    sigma: int = -1
+    coef: object = 1
+    poly: Optional[TaylorPoly] = None
 
     def scale(self, s):
         return BasisTerm(self.kind, self.p, self.k, self.sigma, s * self.coef, self.poly)
@@ -414,12 +394,8 @@ class BasisTerm:
             return AsymTail.part(d).scale(self.coef)
         if self.kind == "ell_prime":
             # X^(p-1)/(X^p+1) = sum_{j>=0} (-1)^j X^(-jp-1)
-            coeffs = [0] * depth
-            j = 0
-            while j * self.p + 1 <= depth:
-                coeffs[j * self.p] = self.coef * (-1) ** j
-                j += 1
-            return AsymTail(coeffs)
+            return AsymTail([0 if i % self.p else self.coef * (-1) ** (i // self.p)
+                             for i in range(depth)])
         raise SeriesError(f"unknown basis kind {self.kind!r}")
 
     def __call__(self, X):
@@ -462,29 +438,21 @@ class BasisTerm:
         return f"BasisTerm({self.kind!r}, p={self.p}, k={self.k}, sigma={self.sigma}, coef={self.coef})"
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class FastFn:
     """A fast coefficient g(X): an asymptotic tail plus optional ways to
     evaluate it (a closed-form basis, an exact finite tail, or a raw
     evaluator restricted to a declared interval)."""
 
-    __slots__ = ("tail", "basis", "evaluator", "exact", "domain")
+    tail: AsymTail = AsymTail.zero()
+    basis: Sequence[BasisTerm] = ()
+    evaluator: Optional[Callable] = None
+    exact: bool = False
+    domain: Optional[tuple] = None
 
-    def __init__(
-        self,
-        tail: AsymTail = AsymTail((), complete=True),
-        basis: Sequence[BasisTerm] = (),
-        evaluator: Optional[Callable] = None,
-        exact: bool = False,
-        domain: Optional[tuple] = None,
-    ):
-        object.__setattr__(self, "tail", tail)
-        object.__setattr__(self, "basis", tuple(basis))
-        object.__setattr__(self, "evaluator", evaluator)
-        object.__setattr__(self, "exact", bool(exact))
-        object.__setattr__(self, "domain", domain)
-
-    def __setattr__(self, *a):
-        raise AttributeError("FastFn is immutable")
+    def __post_init__(self):
+        object.__setattr__(self, "basis", tuple(self.basis))
+        object.__setattr__(self, "exact", bool(self.exact))
 
     @staticmethod
     def zero() -> "FastFn":
@@ -605,15 +573,9 @@ class FastFn:
         tail = self.tail.derivative()
         if self.exact:
             return FastFn(tail, (), None, exact=True)
-        if self.basis:
-            terms_eval = []
-            for t in self.basis:
-                terms_eval.append(_basis_derivative_eval(t))
-            if all(e is not None for e in terms_eval):
-                evs = list(terms_eval)
-                return FastFn(
-                    tail, (), lambda X: math.fsum(e(X) for e in evs)
-                )
+        evs = [_basis_derivative_eval(t) for t in self.basis]
+        if evs and None not in evs:
+            return FastFn(tail, (), lambda X: math.fsum(e(X) for e in evs))
         return FastFn(tail)
 
     def to_json(self):
@@ -695,18 +657,16 @@ def _basis_derivative_eval(t: BasisTerm):
 # the combined series
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class LogComponent:
     """Log part produced by antidifferentiation: sum(r_k eta**k) * ell(X),
     with kernel ell(X) = (1/p) log(X**p + 1).  Zero when all residues are."""
 
-    __slots__ = ("residues", "kernel_p")
+    residues: Sequence
+    kernel_p: int
 
-    def __init__(self, residues: Sequence, kernel_p: int):
-        object.__setattr__(self, "residues", tuple(residues))
-        object.__setattr__(self, "kernel_p", kernel_p)
-
-    def __setattr__(self, *a):
-        raise AttributeError("LogComponent is immutable")
+    def __post_init__(self):
+        object.__setattr__(self, "residues", tuple(self.residues))
 
     def is_zero(self) -> bool:
         return all(r == 0 for r in self.residues)
@@ -1084,28 +1044,24 @@ def check_matching(outer: Sequence[LaurentPoly], inner: Sequence[tuple],
     polynomial degree above n raises InfeasibleError; the first violated
     identity raises CompatibilityError with its (n, m).
     """
-    N = min(len(outer), len(inner))
-    for n in range(N):
-        if outer[n].pole_order > n:
-            raise InfeasibleError(
-                f"outer order {n} has pole order {outer[n].pole_order} > {n}",
-                n=n, pole=outer[n].pole_order, bound=n,
-            )
-        if inner[n][0].degree > n:
-            raise InfeasibleError(
-                f"inner order {n} has polynomial degree {inner[n][0].degree} > {n}",
-                n=n, pole=inner[n][0].degree, bound=n,
-            )
-
     def close(a, b):
         if tol == 0 or (is_exact(a) and is_exact(b)):
             return a == b
         return abs(float(a) - float(b)) <= tol
 
-    # pole side: c_{n,-mu} against the tail coefficient g_{n-mu, mu}
-    for n in range(N):
-        v = outer[n]
-        for mu in range(1, n + 1):
+    for n in range(min(len(outer), len(inner))):
+        v, poly = outer[n], inner[n][0]
+        if v.pole_order > n:
+            raise InfeasibleError(
+                f"outer order {n} has pole order {v.pole_order} > {n}",
+                n=n, pole=v.pole_order, bound=n,
+            )
+        if poly.degree > n:
+            raise InfeasibleError(
+                f"inner order {n} has polynomial degree {poly.degree} > {n}",
+                n=n, pole=poly.degree, bound=n,
+            )
+        for mu in range(1, n + 1):  # c_{n,-mu} against the tail coefficient g_{n-mu,mu}
             t = inner[n - mu][1]
             if mu > v.pole_order and not t.known_to(mu):
                 continue  # zero outer coefficient, tail not known there
@@ -1116,10 +1072,7 @@ def check_matching(outer: Sequence[LaurentPoly], inner: Sequence[tuple],
                     f"{c} != tail coefficient {z}",
                     n=n, m=-mu,
                 )
-    # polynomial side: inner coefficient of X^l against c_{n-l, l}
-    for n in range(N):
-        poly = inner[n][0]
-        for l in range(n + 1):
+        for l in range(n + 1):  # inner coefficient of X^l against c_{n-l,l}
             z, c = poly.coefficient(l), outer[n - l].coefficient(l)
             if not close(z, c):
                 raise CompatibilityError(
