@@ -13,6 +13,7 @@ the purely algebraic operations.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -89,6 +90,7 @@ class Laurent:
         return cls._new(list(s.dense), s.offset, s.low)
 
     @classmethod
+    @functools.cache  # one shared instance per class
     def zero(cls):
         return cls._new([], 0, None)
 
@@ -455,6 +457,7 @@ class FastFn:
         object.__setattr__(self, "exact", bool(self.exact))
 
     @staticmethod
+    @functools.cache  # one shared instance
     def zero() -> "FastFn":
         return FastFn(AsymTail.zero(), (), None, exact=True)
 
@@ -1049,7 +1052,9 @@ def check_matching(outer: Sequence[LaurentPoly], inner: Sequence[tuple],
             return a == b
         return abs(float(a) - float(b)) <= tol
 
-    for n in range(min(len(outer), len(inner))):
+    N = min(len(outer), len(inner))
+    top = max([v.top_degree for v in outer[:N]] + [0])  # outer Taylor coefficients stop here
+    for n in range(N):
         v, poly = outer[n], inner[n][0]
         if v.pole_order > n:
             raise InfeasibleError(
@@ -1063,18 +1068,18 @@ def check_matching(outer: Sequence[LaurentPoly], inner: Sequence[tuple],
             )
         for mu in range(1, n + 1):  # c_{n,-mu} against the tail coefficient g_{n-mu,mu}
             t = inner[n - mu][1]
-            if mu > v.pole_order and not t.known_to(mu):
-                continue  # zero outer coefficient, tail not known there
+            if mu > v.pole_order and mu > t.depth:
+                continue  # no outer pole, and nothing stored in the tail
             c, z = v.coefficient(-mu), t.coefficient(mu)
-            if not close(c, z):
+            if c != z and not close(c, z):
                 raise CompatibilityError(
                     f"matching violated at outer order n={n}, pole x^-{mu}: "
                     f"{c} != tail coefficient {z}",
                     n=n, m=-mu,
                 )
-        for l in range(n + 1):  # inner coefficient of X^l against c_{n-l,l}
+        for l in range(min(n, max(poly.degree, top)) + 1):  # X^l against c_{n-l,l}
             z, c = poly.coefficient(l), outer[n - l].coefficient(l)
-            if not close(z, c):
+            if z != c and not close(z, c):
                 raise CompatibilityError(
                     f"matching violated at inner order n={n}, X^{l}: "
                     f"{z} != outer coefficient {c}",
