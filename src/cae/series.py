@@ -40,7 +40,24 @@ DEFAULT_TAIL_DEPTH = 8
 def _window(c, offset: int, lo: int, hi: int) -> list:
     """Coefficients of the powers lo..hi of the storage ``c`` starting at
     power ``offset``: stored values where there are any, int 0 elsewhere."""
-    return [c[e - offset] if 0 <= e - offset < len(c) else 0 for e in range(lo, hi + 1)]
+    n, i, j = hi - lo + 1, lo - offset, hi + 1 - offset
+    return ([0] * min(max(-i, 0), n) + list(c[max(i, 0):max(j, 0)])
+            + [0] * min(max(j - len(c), 0), n))
+
+
+def _lead(c) -> int:
+    """Number of leading zeros of ``c``."""
+    i = 0
+    while i < len(c) and c[i] == 0:
+        i += 1
+    return i
+
+
+def _fill(obj, dense: tuple, offset: int, low):
+    # the slot setters, bound once: cheaper than object.__setattr__
+    _set_dense(obj, dense)
+    _set_offset(obj, offset)
+    _set_low(obj, low)
 
 
 class Laurent:
@@ -63,15 +80,12 @@ class Laurent:
 
     def __init__(self, dense: Sequence = (), offset: int = 0,
                  low: Optional[int] = None):
-        dense, offset, low = self._norm(list(dense), offset, low)
-        object.__setattr__(self, "dense", dense)
-        object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "low", low)
+        _fill(self, *self._norm(list(dense), offset, low))
 
     @classmethod
     def _new(cls, c: list, offset: int, low):
         obj = object.__new__(cls)
-        Laurent.__init__(obj, c, offset, low)
+        _fill(obj, *cls._norm(c, offset, low))
         return obj
 
     @staticmethod
@@ -81,7 +95,7 @@ class Laurent:
             offset = low
         while c and c[-1] == 0:
             c.pop()
-        i = next((i for i, x in enumerate(c) if x != 0), len(c))  # leading zeros
+        i = _lead(c)
         return tuple(c[i:]), offset + i if c else 0, low
 
     @classmethod
@@ -226,6 +240,10 @@ class Laurent:
         return f"Laurent({list(self.dense)!r}, offset={self.offset}, low={self.low})"
 
 
+_set_dense, _set_offset, _set_low = (Laurent.dense.__set__, Laurent.offset.__set__,
+                                     Laurent.low.__set__)
+
+
 class TaylorPoly(Laurent):
     """Polynomial sum(c_m * x**m); also used for polynomial parts in X.
 
@@ -235,14 +253,16 @@ class TaylorPoly(Laurent):
     __slots__ = ()
 
     def __init__(self, coeffs: Sequence = ()):
-        Laurent.__init__(self, coeffs)
+        _fill(self, *self._norm(list(coeffs), 0, None))
 
     @staticmethod
     def _norm(c: list, offset: int, low):
         if low is not None and low > 0:
             raise InsufficientTailError(f"polynomial part unknown below power {low}")
-        if offset:
-            c = _window(c, offset, 0, offset + len(c) - 1)
+        if offset < 0:
+            c = c[-offset:]
+        elif offset > 0:
+            c = [0] * offset + c
         while c and c[-1] == 0:
             c.pop()
         return tuple(c), 0, None
@@ -275,7 +295,7 @@ class LaurentPoly(Laurent):
     __slots__ = ()
 
     def __init__(self, coeffs: Sequence = (), offset: int = 0):
-        Laurent.__init__(self, coeffs, offset)  # coeffs[i] multiplies x**(offset + i)
+        _fill(self, *self._norm(list(coeffs), offset, None))  # coeffs[i] at x**(offset + i)
 
     @property
     def pole_order(self) -> int:
@@ -309,7 +329,7 @@ class AsymTail(Laurent):
 
     def __init__(self, coeffs: Sequence = (), complete: bool = False):
         c = list(coeffs)[::-1]
-        Laurent.__init__(self, c, -len(c), None if complete else -len(c))
+        _fill(self, *self._norm(c, -len(c), None if complete else -len(c)))
 
     @staticmethod
     def _norm(c: list, offset: int, low):
@@ -318,7 +338,7 @@ class AsymTail(Laurent):
         if lo != offset or offset + len(c) != 0:  # not stored on lo..-1 yet
             c = _window(c, offset, lo, -1)
         if low is None:  # trim the zeros at the deep end
-            c = c[next((i for i, x in enumerate(c) if x != 0), len(c)):]
+            c = c[_lead(c):]
         return tuple(c), -len(c), low
 
     @property
@@ -342,7 +362,9 @@ class AsymTail(Laurent):
         """g_m for m >= 1; raises beyond the known depth."""
         if m < 1:
             raise SeriesError("tail indices start at m=1")
-        return Laurent.coefficient(self, -m)
+        if m <= len(self.dense):
+            return self.dense[-m]
+        return Laurent.coefficient(self, -m)  # 0 when complete, else raises
 
     partial_sum = Laurent.__call__  # Horner in 1/X over the stored coefficients
 
@@ -1038,24 +1060,37 @@ def check_matching(outer: Sequence[LaurentPoly], inner: Sequence[tuple],
     coefficients (one LaurentPoly in x per eta-order n) and inner ones (one
     (TaylorPoly, AsymTail) pair in X per eta-order).
 
-    Both sides are compared both ways: every outer pole coefficient against
-    the tail coefficient that must carry it, every known tail coefficient
-    against its outer partner, and the inner polynomials against the outer
-    Taylor coefficients on each anti-diagonal.  Values that are both exact
-    compare exactly, others to ``tol``.  A pole coefficient beyond its
-    tail's known depth raises InsufficientTailError; a pole order or
-    polynomial degree above n raises InfeasibleError; the first violated
-    identity raises CompatibilityError with its (n, m).
+    Both sides are compared both ways: every stored tail coefficient against
+    its outer partner, every outer pole coefficient against the tail that
+    must carry it, and the inner polynomials against the outer Taylor
+    coefficients on each anti-diagonal.  Values that are both exact compare
+    exactly, others to ``tol``.  A pole coefficient beyond its tail's known
+    depth raises InsufficientTailError; a pole order or polynomial degree
+    above n raises InfeasibleError; a violated identity raises
+    CompatibilityError with its (n, m).
     """
-    def close(a, b):
-        if tol == 0 or (is_exact(a) and is_exact(b)):
-            return a == b
-        return abs(float(a) - float(b)) <= tol
-
     N = min(len(outer), len(inner))
-    top = max([v.top_degree for v in outer[:N]] + [0])  # outer Taylor coefficients stop here
+    # c_{k,e} = rows[k][k + e] for e = -k..N-1-k, read once per outer order
+    rows = [_window(v.dense, v.offset, -k, N - 1 - k) for k, v in enumerate(outer[:N])]
+
+    def check(n, m, z, c):
+        if z == c or (tol and not (is_exact(z) and is_exact(c))
+                      and abs(float(z) - float(c)) <= tol):
+            return
+        if m < 0:
+            raise CompatibilityError(
+                f"matching violated at outer order n={n}, pole x^{m}: "
+                f"{c} != tail coefficient {z}",
+                n=n, m=m,
+            )
+        raise CompatibilityError(
+            f"matching violated at inner order n={n}, X^{m}: "
+            f"{z} != outer coefficient {c}",
+            n=n, m=m,
+        )
+
     for n in range(N):
-        v, poly = outer[n], inner[n][0]
+        v, (poly, tail) = outer[n], inner[n]
         if v.pole_order > n:
             raise InfeasibleError(
                 f"outer order {n} has pole order {v.pole_order} > {n}",
@@ -1066,25 +1101,23 @@ def check_matching(outer: Sequence[LaurentPoly], inner: Sequence[tuple],
                 f"inner order {n} has polynomial degree {poly.degree} > {n}",
                 n=n, pole=poly.degree, bound=n,
             )
-        for mu in range(1, n + 1):  # c_{n,-mu} against the tail coefficient g_{n-mu,mu}
+        # the stored tail coefficients g_{n,mu} against c_{n+mu,-mu}
+        k = min(tail.depth, N - 1 - n)
+        have, want = list(tail.coeffs[:k]), [rows[n + mu][n] for mu in range(1, k + 1)]
+        if have != want:
+            for mu in range(1, k + 1):
+                check(n + mu, -mu, have[mu - 1], want[mu - 1])
+        # outer poles c_{n,-mu} beyond what the tail g_{n-mu} stores
+        for mu in range(1, v.pole_order + 1):
             t = inner[n - mu][1]
-            if mu > v.pole_order and mu > t.depth:
-                continue  # no outer pole, and nothing stored in the tail
-            c, z = v.coefficient(-mu), t.coefficient(mu)
-            if c != z and not close(c, z):
-                raise CompatibilityError(
-                    f"matching violated at outer order n={n}, pole x^-{mu}: "
-                    f"{c} != tail coefficient {z}",
-                    n=n, m=-mu,
-                )
-        for l in range(min(n, max(poly.degree, top)) + 1):  # X^l against c_{n-l,l}
-            z, c = poly.coefficient(l), outer[n - l].coefficient(l)
-            if z != c and not close(z, c):
-                raise CompatibilityError(
-                    f"matching violated at inner order n={n}, X^{l}: "
-                    f"{z} != outer coefficient {c}",
-                    n=n, m=l,
-                )
+            if mu > t.depth:
+                check(n, -mu, t.coefficient(mu), rows[n][n - mu])
+        # the inner polynomial coefficients z_{n,l} against c_{n-l,l}
+        have = list(poly.dense) + [0] * (n - poly.degree)
+        want = [rows[n - l][n] for l in range(n + 1)]
+        if have != want:
+            for l in range(n + 1):
+                check(n, l, have[l], want[l])
 
 
 def reconstruct_from_matching(
