@@ -55,12 +55,15 @@ def _json_dump(doc, stamp: bool) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _float_list(text: str):
-    return [float(v) for v in text.split(",") if v != ""]
-
-
-def _int_list(text: str):
-    return [int(v) for v in text.split(",") if v != ""]
+def _list(text: str, kind, flag: str) -> list:
+    """A nonempty comma list of ``kind`` values; CaeError otherwise."""
+    try:
+        values = [kind(v) for v in text.split(",") if v != ""]
+    except ValueError:
+        values = []
+    if not values:
+        raise CaeError(f"{flag} wants a comma list of {kind.__name__}s, got {text!r}")
+    return values
 
 
 def _grid(text: str):
@@ -93,8 +96,8 @@ def _cmd_expand(args) -> int:
 def _cmd_validate(args) -> int:
     spec = _load_spec(args.spec)
     sigma = -1 if args.side == "minus" else 1
-    orders = _int_list(args.orders)
-    eps_list = _float_list(args.eps)
+    orders = _list(args.orders, int, "--orders")
+    eps_list = _list(args.eps, float, "--eps")
     x_grid = _grid(args.xgrid)
     check_grid(x_grid, sigma)
     series = combined_from_matching(spec, max(orders) + 1, sigma)
@@ -219,7 +222,7 @@ def _cmd_canard(args) -> int:
             },
         }
     elif args.problem == "angular":
-        eps_list = _float_list(args.eps)
+        eps_list = _list(args.eps, float, "--eps")
         by_abs = {}  # the value curve is even: one root per |eps|
         for e in eps_list:
             if abs(e) not in by_abs:

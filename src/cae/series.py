@@ -58,6 +58,7 @@ def _fill(obj, dense: tuple, offset: int, low):
     _set_dense(obj, dense)
     _set_offset(obj, offset)
     _set_low(obj, low)
+    return obj
 
 
 class Laurent:
@@ -84,9 +85,7 @@ class Laurent:
 
     @classmethod
     def _new(cls, c: list, offset: int, low):
-        obj = object.__new__(cls)
-        _fill(obj, *cls._norm(c, offset, low))
-        return obj
+        return _fill(object.__new__(cls), *cls._norm(c, offset, low))
 
     @staticmethod
     def _norm(c: list, offset: int, low):
@@ -143,9 +142,6 @@ class Laurent:
     def __hash__(self):
         return hash((self.dense, self.offset, self.low))
 
-    def _cls(self, other):
-        return type(self) if type(other) is type(self) else Laurent
-
     def __add__(self, other: "Laurent"):
         a, b, ea, eb = self.dense, other.dense, self.offset, other.offset
         if ea == eb and len(a) == len(b):
@@ -155,8 +151,9 @@ class Laurent:
             hi = max(ea + len(a), eb + len(b)) - 1
             out = [x + y for x, y in zip(_window(a, ea, lo, hi), _window(b, eb, lo, hi))]
             ea = lo
-        lows = [l for l in (self.low, other.low) if l is not None]
-        return self._cls(other)._new(out, ea, max(lows) if lows else None)
+        la, lb = self.low, other.low
+        low = lb if la is None else la if lb is None else max(la, lb)
+        return (type(self) if type(other) is type(self) else Laurent)._new(out, ea, low)
 
     def __neg__(self):
         return self.scale(-1)
@@ -170,21 +167,27 @@ class Laurent:
     def __mul__(self, other: "Laurent"):
         """Cauchy product, known down to the lowest power that no unknown
         coefficient of either factor reaches."""
-        cls = self._cls(other)
+        cls = type(self) if type(other) is type(self) else Laurent
         a, b, la, lb = self.dense, other.dense, self.low, other.low
+        e = self.offset + other.offset
         if (not a and la is None) or (not b and lb is None):
             return cls._new([], 0, None)  # exact zero
-        ta = self.offset + len(a) - 1 if a else la - 1
-        tb = other.offset + len(b) - 1 if b else lb - 1
-        lows = [l + t for l, t in ((la, tb), (lb, ta)) if l is not None]
-        low = max(lows) if lows else None
-        e = self.offset + other.offset
-        skip = 0 if low is None else low - e  # first index i + j kept
+        low, skip = None, 0  # skip: first index i + j kept
+        if la is not None or lb is not None:
+            ta = self.offset + len(a) - 1 if a else la - 1
+            tb = other.offset + len(b) - 1 if b else lb - 1
+            low = max(l + t for l, t in ((la, tb), (lb, ta)) if l is not None)
+            skip = low - e
         out = [0] * (len(a) + len(b) - 1) if a and b else []
         for i, x in enumerate(a):
-            if x != 0:
-                for j in range(max(0, skip - i), len(b)):
-                    out[i + j] += x * b[j]
+            if x == 0:
+                continue
+            if skip <= i:
+                for k, y in enumerate(b, i):
+                    out[k] += x * y
+            else:
+                for k, y in enumerate(b[skip - i:], skip):
+                    out[k] += x * y
         return cls._new(out, e, low)
 
     def derivative(self):
@@ -304,13 +307,6 @@ class LaurentPoly(Laurent):
 
     def regular_part(self) -> TaylorPoly:
         return TaylorPoly.part(self)
-
-    def __add__(self, other):
-        if not self.dense:
-            return other
-        if not other.dense:
-            return self
-        return Laurent.__add__(self, other)
 
     def __repr__(self):
         return f"LaurentPoly({list(self.dense)!r}, offset={self.offset})"
@@ -469,14 +465,11 @@ class FastFn:
     evaluator restricted to a declared interval)."""
 
     tail: AsymTail = AsymTail.zero()
-    basis: Sequence[BasisTerm] = ()
+    basis: tuple = ()  # of BasisTerm
     evaluator: Optional[Callable] = None
     exact: bool = False
     domain: Optional[tuple] = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "basis", tuple(self.basis))
-        object.__setattr__(self, "exact", bool(self.exact))
 
     @staticmethod
     @functools.cache  # one shared instance
@@ -489,11 +482,8 @@ class FastFn:
 
     @staticmethod
     def from_basis(terms, depth=DEFAULT_TAIL_DEPTH) -> "FastFn":
-        terms = [t for t in terms if t.coef != 0]
-        tail = AsymTail([0] * depth)
-        for t in terms:
-            tail = tail + t.tail(depth)
-        return FastFn(tail, terms)
+        terms = tuple(t for t in terms if t.coef != 0)
+        return FastFn(sum((t.tail(depth) for t in terms), AsymTail([0] * depth)), terms)
 
     def is_zero(self) -> bool:
         return (
@@ -636,16 +626,20 @@ class FastFn:
 def _basis_derivative_eval(t: BasisTerm):
     from . import special
 
-    if t.kind == "u":
-        # U' = p X^(p-1) U + X^(k-1); switch to the differentiated tail for
-        # large |X| to dodge the cancellation between the two terms.
-        dtail = t.tail(DEFAULT_TAIL_DEPTH + 4).derivative()
+    if t.kind in ("u", "dawson"):
+        # switch to the differentiated tail for large |X| to dodge the
+        # cancellation between the two terms of the closed form
+        dtail = t.tail(DEFAULT_TAIL_DEPTH + (4 if t.kind == "u" else 2)).derivative()
 
         def ev(X, t=t, dtail=dtail):
             if abs(X) >= 12.0:
                 return float(dtail.partial_sum(X))
-            u = special.eval_u(t.p, t.k, t.sigma, X)
-            return t.coef * (t.p * X ** (t.p - 1) * u + X ** (t.k - 1))
+            if t.kind == "u":  # U' = p X^(p-1) U + X^(k-1)
+                u = special.eval_u(t.p, t.k, t.sigma, X)
+                return t.coef * (t.p * X ** (t.p - 1) * u + X ** (t.k - 1))
+            from scipy.special import dawsn  # D' = 1 - 2 X D
+
+            return t.coef * (1.0 - 2.0 * X * float(dawsn(X)))
 
         return ev
     if t.kind == "exp_poly":
@@ -655,17 +649,6 @@ def _basis_derivative_eval(t: BasisTerm):
             return t.coef * math.exp(-float(X) ** t.p) * (
                 dq(X) - t.p * X ** (t.p - 1) * q(X)
             )
-
-        return ev
-    if t.kind == "dawson":
-        dtail = t.tail(DEFAULT_TAIL_DEPTH + 2).derivative()
-
-        def ev(X, t=t, dtail=dtail):
-            if abs(X) >= 12.0:
-                return float(dtail.partial_sum(X))
-            from scipy.special import dawsn
-
-            return t.coef * (1.0 - 2.0 * X * float(dawsn(X)))
 
         return ev
     if t.kind == "ell_prime":
@@ -687,20 +670,14 @@ class LogComponent:
     """Log part produced by antidifferentiation: sum(r_k eta**k) * ell(X),
     with kernel ell(X) = (1/p) log(X**p + 1).  Zero when all residues are."""
 
-    residues: Sequence
+    residues: tuple
     kernel_p: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "residues", tuple(self.residues))
 
     def is_zero(self) -> bool:
         return all(r == 0 for r in self.residues)
 
     def kernel(self, X):
         return math.log(float(X) ** self.kernel_p + 1.0) / self.kernel_p
-
-    def kernel_derivative_term(self) -> BasisTerm:
-        return BasisTerm("ell_prime", p=self.kernel_p)
 
     def __call__(self, x, eta):
         acc = 0.0
@@ -717,7 +694,7 @@ class LogComponent:
     @staticmethod
     def from_json(d):
         return LogComponent(
-            [scalar_from_json(r) for r in d["residues"]], d["kernel_p"]
+            tuple(scalar_from_json(r) for r in d["residues"]), d["kernel_p"]
         )
 
     def __repr__(self):
@@ -924,7 +901,7 @@ def differentiate_with_log(
     out = differentiate(y)
     slow = list(out.slow)
     fast = list(out.fast)
-    term = log.kernel_derivative_term()
+    term = BasisTerm("ell_prime", p=log.kernel_p)  # d/dX of the log kernel
     for k, r in enumerate(log.residues, start=1):
         n = k - 1  # d/dx [eta^k ell(x/eta)] = eta^(k-1) ell'(X)
         if r != 0 and n < out.N:
@@ -959,7 +936,7 @@ def antiderivative(y: CombinedSeries, r) -> tuple:
         if n + 1 >= N:
             continue
         fast[n + 1] = _fast_antiderivative(g, g1, p)
-    log = LogComponent(residues, p)
+    log = LogComponent(tuple(residues), p)
     if not log.is_zero():
         # evaluators are mandatory wherever a residue must be subtracted
         for n, r_k in enumerate(residues):

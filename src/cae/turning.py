@@ -384,9 +384,7 @@ def _solve_linear_order(p, sigma, G_poly: TaylorPoly, order, depth=16):
         pl, tl = _j_monomial(p, sigma, l)
         poly = poly + pl.scale(c)
         terms.extend(t.scale(c) for t in tl)
-    tail = AsymTail((), complete=True)
-    for t in terms:
-        tail = tail + t.tail(depth)
+    tail = sum((t.tail(depth) for t in terms), AsymTail.zero())
     if not is_exact(sum(G_poly.coeffs, 0)):
         poly = poly.to_float()
         tail = tail.to_float()

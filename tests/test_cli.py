@@ -78,6 +78,26 @@ class TestExitCodes:
         assert rc == 1
         assert out == "" and err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--orders", "a", "--eps", "0.04,0.02"],
+        ["validate", "--orders", "1,2", "--eps", "0.04,x,0.01"],
+        ["validate", "--orders", "", "--eps", "0.04,0.02"],
+        ["validate", "--orders", "1,2", "--eps", ","],
+        ["canard", "angular", "--eps", "x"],
+    ])
+    def test_bad_number_lists_exit_1(self, argv, tmp_path, capsys, monkeypatch):
+        def no_work(*a, **k):
+            raise AssertionError("work started on a refused list")
+
+        monkeypatch.setattr("cae.cli.combined_from_matching", no_work)
+        monkeypatch.setattr("cae.cli.angular_canard_value", no_work)
+        if argv[0] == "validate":
+            argv = argv + ["--spec", write_spec(tmp_path, EX1), "--xgrid=-1:0:5"]
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert out == "" and err.startswith("error: ")
+
     def test_validate_grid_ending_at_zero_accepted(self, tmp_path, capsys):
         for grid, side in (("-1:0:5", "minus"), ("0:1:5", "plus")):
             spec = write_spec(tmp_path, EX1)

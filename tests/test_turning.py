@@ -627,6 +627,63 @@ class TestExactFloatAgreement:
             return
         _assert_close(_float_twin(exact.to_json()), flt.to_json())
 
+    @staticmethod
+    def _twins(fn, p, h, *args):
+        """fn on the exact spec and on its float twin; an error becomes its class."""
+        outcomes = []
+        for coeffs in (h, {k: float(c) for k, c in h.items()}):
+            try:
+                outcomes.append(fn(ODESpec(p=p, h=coeffs), *args))
+            except CaeError as exc:
+                outcomes.append(type(exc))
+        return outcomes
+
+    @staticmethod
+    def _close_padded(exact, flt, what):
+        """Coefficient lists equal to 1e-9 once both are padded with zeros."""
+        n = max(len(exact), len(flt))
+        a = [float(c) for c in exact] + [0.0] * (n - len(exact))
+        b = [float(c) for c in flt] + [0.0] * (n - len(flt))
+        assert all(abs(x - y) <= 1e-9 for x, y in zip(a, b)), (what, a, b)
+
+    specs = (st.sampled_from((2, 4)),
+             st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 1)),
+                             small_rationals.filter(lambda c: c != 0),
+                             min_size=1, max_size=3))
+
+    @given(*specs, st.integers(1, 8))
+    @settings(max_examples=40, deadline=None)
+    def test_outer_expansion(self, p, h, N):
+        exact, flt = self._twins(outer_expansion, p, h, N)
+        if isinstance(exact, type):
+            assert flt is exact
+            return
+        assert len(exact) == len(flt)
+        for n, (a, b) in enumerate(zip(exact.orders, flt.orders)):
+            lo = min(a.offset, b.offset)
+            self._close_padded([a.coefficient(e) for e in range(lo, a.top_degree + 1)],
+                               [b.coefficient(e) for e in range(lo, b.top_degree + 1)],
+                               f"v_{n}")
+
+    @given(*specs, st.integers(1, 10), st.sampled_from((-1, 1)))
+    @settings(max_examples=40, deadline=None)
+    def test_inner_expansion(self, p, h, N, sigma):
+        exact, flt = self._twins(inner_expansion, p, h, N, sigma)
+        if isinstance(exact, type):
+            assert flt is exact
+            return
+        assert (exact.p, exact.r, len(exact)) == (flt.p, flt.r, len(flt))
+        for n, (a, b) in enumerate(zip(exact.coeffs, flt.coeffs)):
+            assert (a is None) == (b is None), n
+            if a is None:
+                continue
+            self._close_padded(a.poly.coeffs, b.poly.coeffs, f"W_{n} polynomial")
+            assert a.tail.complete == b.tail.complete, n
+            self._close_padded(a.tail.coeffs, b.tail.coeffs, f"W_{n} tail")
+            assert [(t.kind, t.k) for t in a.basis] == [(t.kind, t.k) for t in b.basis]
+            self._close_padded([t.coef for t in a.basis], [t.coef for t in b.basis],
+                               f"W_{n} basis")
+
     @given(st.lists(small_rationals, min_size=1, max_size=5), st.integers(2, 12))
     @settings(max_examples=40, deadline=None)
     def test_closed_form_series(self, g, N):
