@@ -155,9 +155,6 @@ class Laurent:
         low = lb if la is None else la if lb is None else max(la, lb)
         return (type(self) if type(other) is type(self) else Laurent)._new(out, ea, low)
 
-    def __neg__(self):
-        return self.scale(-1)
-
     def __sub__(self, other):
         return self + other.scale(-1)
 
@@ -534,12 +531,6 @@ class FastFn:
                 domain=self._merged_domain(other),
             )
         return FastFn(tail)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def scale(self, s) -> "FastFn":
         if s == 0:
