@@ -40,9 +40,10 @@ DEFAULT_TAIL_DEPTH = 8
 def _window(c, offset: int, lo: int, hi: int) -> list:
     """Coefficients of the powers lo..hi of the storage ``c`` starting at
     power ``offset``: stored values where there are any, int 0 elsewhere."""
-    n, i, j = hi - lo + 1, lo - offset, hi + 1 - offset
-    return ([0] * min(max(-i, 0), n) + list(c[max(i, 0):max(j, 0)])
-            + [0] * min(max(j - len(c), 0), n))
+    i, j = lo - offset, hi + 1 - offset  # the window as slice bounds of c
+    if j <= 0 or i >= len(c):  # no overlap
+        return [0] * (hi - lo + 1)
+    return [0] * -i + list(c[i if i > 0 else 0:j]) + [0] * (j - len(c))
 
 
 def _lead(c) -> int:
