@@ -891,7 +891,6 @@ def differentiate_with_log(
 ) -> CombinedSeries:
     """Derivative of y plus the log component sum(r_k eta^k) ell(x/eta)."""
     out = differentiate(y)
-    slow = list(out.slow)
     fast = list(out.fast)
     term = BasisTerm("ell_prime", p=log.kernel_p)  # d/dX of the log kernel
     for k, r in enumerate(log.residues, start=1):
@@ -900,7 +899,7 @@ def differentiate_with_log(
             fast[n] = fast[n] + FastFn.from_basis(
                 [term.scale(r)], depth=max(DEFAULT_TAIL_DEPTH, out.N + 2)
             )
-    return CombinedSeries(out.p, out.N, slow, fast)
+    return CombinedSeries(out.p, out.N, out.slow, fast)
 
 
 def antiderivative(y: CombinedSeries, r) -> tuple:
@@ -911,8 +910,6 @@ def antiderivative(y: CombinedSeries, r) -> tuple:
     the residue sequence r_k = g_{k-1,1} against the fixed kernel
     ell(X) = (1/p) log(X**p + 1).
     """
-    from . import special
-
     p = y.p
     N = y.N
     slow = [y.slow[n].integral(r) if not y.slow[n].is_zero() else TaylorPoly.zero() for n in range(N)]
@@ -954,10 +951,8 @@ def _fast_antiderivative(g: FastFn, g1, p: int) -> FastFn:
     if not g.can_eval:
         return FastFn(tail)
 
-    gf = g
-
-    def ev(X, gf=gf, g1=g1, p=p):
-        return special.decaying_antiderivative(gf, g1, p, X)
+    def ev(X, g=g, g1=g1, p=p):
+        return special.decaying_antiderivative(g, g1, p, X)
 
     return FastFn(tail, (), ev, domain=g.domain)
 

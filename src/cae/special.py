@@ -67,7 +67,7 @@ def tail_of_j_series(p: int, v: Laurent, depth: int) -> Laurent:
     u = Laurent((), 0, -depth)
     passes = (depth + v.top_degree + p) // (p - 1) + 3
     for _ in range(passes):
-        src = (u.derivative() - v).shift(1 - p)  # known below X**-depth
+        src = (u.derivative() - v).shift(1 - p)  # known at least down to X**-depth
         u2 = Laurent([0 if c == 0 else Fraction(c, p) if is_exact(c) else c / p
                       for c in src.dense], src.offset, -depth)
         if u2 == u:
