@@ -221,9 +221,13 @@ class Laurent:
     def __call__(self, x):
         """Value of the stored coefficients at x: Horner in x over the
         powers >= 0 and in 1/x over the powers < 0."""
+        val = 0
+        if self.offset == 0:  # a polynomial; this loop runs inside quadratures
+            for a in reversed(self.dense):
+                val = val * x + a
+            return val
         c, e = self.dense, self.offset
         k = min(max(-e, 0), len(c))  # entries at negative powers
-        val = 0
         for a in reversed(c[k:]):
             val = val * x + a
         if e > 0:
