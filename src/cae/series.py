@@ -954,10 +954,7 @@ def _fast_antiderivative(g: FastFn, g1, p: int) -> FastFn:
         return FastFn(tail, (), None, exact=True)
     if not g.can_eval:
         return FastFn(tail)
-
-    def ev(X, g=g, g1=g1, p=p):
-        return special.decaying_antiderivative(g, g1, p, X)
-
+    ev = functools.partial(special.decaying_antiderivative, g, g1, p)
     return FastFn(tail, (), ev, domain=g.domain)
 
 
