@@ -472,7 +472,6 @@ class FastFn:
     exact: bool = False
     domain: Optional[tuple] = None
 
-
     @staticmethod
     @functools.cache  # one shared instance
     def zero() -> "FastFn":
