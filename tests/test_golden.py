@@ -39,6 +39,9 @@ CASES = {
     "expand_p4_float_o12_plus": _expand("p4_float", 12, "plus"),
     "canard_criterion": ["canard", "criterion", "--spec",
                          str(INPUTS / "control.json"), "--order", "5"],
+    # shooting + brentq: values, measured evaluation counts and residuals
+    "canard_unionjack": ["canard", "unionjack", "--tol", "1e-8"],
+    "canard_angular": ["canard", "angular", "--eps", "0.01,0.02,0.04"],
     "resonance_admissible": ["resonance", "--alpha", "1", "--beta", "2",
                              "--p", "2"],
     "resonance_not_admissible": ["resonance", "--alpha", "1", "--beta", "2",
