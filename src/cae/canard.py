@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from functools import cache, partial
 from typing import Callable, NamedTuple
 
-from scipy import integrate, optimize
-
+from . import _numerics
 from .errors import BlowupError, SeriesError
 from .special import gauss_moment
 from .turning import ODESpec, UnsupportedExpansionError, _g_polynomials
@@ -55,8 +54,8 @@ class ConnectionProblem:
 def _shoot(rhs: Callable, X0: float, y0):
     """The array y(0) of the system dy/dX = rhs(X, y) through y0 at X0:
     one DOP853 solve; every component must attract on the way to 0."""
-    sol = integrate.solve_ivp(rhs, (X0, 0.0), y0, method="DOP853",
-                              rtol=1e-12, atol=1e-14)
+    sol = _numerics.integrate.solve_ivp(rhs, (X0, 0.0), y0, method="DOP853",
+                                        rtol=1e-12, atol=1e-14)
     if not sol.success:
         raise BlowupError("shooting toward X = 0 failed",
                           where=float(sol.t[-1]))
@@ -154,7 +153,7 @@ def union_jack_connection(tol: float = 1e-10, X_far: float = 6.0,
     lo, hi = sorted((0.0, 0.5 * s))
     if not F(lo) * F(hi) < 0:
         raise SeriesError("endpoints do not bracket the connection value")
-    c0 = optimize.brentq(F, lo, hi, xtol=tol)
+    c0 = _numerics.optimize.brentq(F, lo, hi, xtol=tol)
     return UnionJackResult(c0, abs(F(c0)), F.cache_info().currsize)
 
 
@@ -265,7 +264,7 @@ def angular_canard_value(eps: float, tol: float = 1e-10,
         raise SeriesError("could not bracket the angular canard value")
     # c ~ -2.7 eps^2, so an absolute tol alone would swamp it at tiny eps
     xtol = min(tol, 1e-3 * eps * eps)
-    return float(optimize.brentq(F, lo, hi, xtol=xtol, rtol=1e-15))
+    return float(_numerics.optimize.brentq(F, lo, hi, xtol=xtol, rtol=1e-15))
 
 
 # ---------------------------------------------------------------------------

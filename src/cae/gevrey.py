@@ -14,16 +14,15 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate
-from scipy.special import gammaln
 
+from . import _numerics
 from .errors import SeriesError
 
 _QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=200)
 
 
 def _gamma_weight_log(n: float, p: int) -> float:
-    return float(gammaln(n / p + 1.0))
+    return float(_numerics.special.gammaln(n / p + 1.0))
 
 
 @dataclass(frozen=True)
@@ -151,7 +150,7 @@ def borel_laplace_truncated(coeffs: Sequence[float], p: int, rho: float,
             * p * t ** (p - 1) / eta ** p
         )
 
-    val, _err = integrate.quad(f, 0.0, rho, **_QUAD_OPTS)
+    val, _err = _numerics.integrate.quad(f, 0.0, rho, **_QUAD_OPTS)
     return val
 
 

@@ -28,6 +28,7 @@ from .errors import (
     NonDifferentiableError,
     SeriesError,
 )
+from . import _numerics
 from ._scalar import is_exact, scalar_from_json, scalar_to_json
 
 DEFAULT_TAIL_DEPTH = 8
@@ -428,9 +429,7 @@ class BasisTerm:
         if self.kind == "exp_poly":
             return self.coef * math.exp(-float(X) ** self.p) * self.poly(X)
         if self.kind == "dawson":
-            from scipy.special import dawsn
-
-            return self.coef * float(dawsn(X))
+            return self.coef * float(_numerics.special.dawsn(X))
         if self.kind == "ell_prime":
             X = float(X)
             return self.coef * X ** (self.p - 1) / (X ** self.p + 1.0)
@@ -632,9 +631,8 @@ def _basis_derivative_eval(t: BasisTerm):
             if t.kind == "u":  # U' = p X^(p-1) U + X^(k-1)
                 u = special.eval_u(t.p, t.k, t.sigma, X)
                 return t.coef * (t.p * X ** (t.p - 1) * u + X ** (t.k - 1))
-            from scipy.special import dawsn  # D' = 1 - 2 X D
-
-            return t.coef * (1.0 - 2.0 * X * float(dawsn(X)))
+            # D' = 1 - 2 X D
+            return t.coef * (1.0 - 2.0 * X * float(_numerics.special.dawsn(X)))
 
         return ev
     if t.kind == "exp_poly":
@@ -1107,6 +1105,8 @@ def evaluate_partial_sum(y: CombinedSeries, x, eta, N: Optional[int] = None):
         N = y.N
     if N > y.N:
         raise SeriesError(f"partial-sum order {N} beyond truncation {y.N}")
+    if N < 0:
+        raise SeriesError(f"partial-sum order {N} is negative")
     X = x / eta
     total = 0.0
     for n in range(N):

@@ -20,10 +20,8 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
-from scipy.interpolate import CubicSpline
-from scipy.special import erfcx, gamma as _gamma, gammainc, gammaincc
 
+from . import _numerics
 from ._scalar import is_exact
 from .errors import (
     BlowupError,
@@ -114,7 +112,8 @@ def _exp_gamma_upper(a: float, x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x)
     big = x > EXP_CAP
     xs = x[~big]
-    out[~big] = np.exp(xs) * gammaincc(a, xs) * _gamma(a)
+    sf = _numerics.special
+    out[~big] = np.exp(xs) * sf.gammaincc(a, xs) * sf.gamma(a)
     if big.any():
         xb = x[big]
         ratio = 1.0 + _GL_NODES[:, None] / xb
@@ -153,14 +152,15 @@ def eval_u(p: int, k: int, sigma: int, X):
         )
     if p == 2:
         # U^- = (sqrt(pi)/2) erfcx(-X),  U^+ = -(sqrt(pi)/2) erfcx(X)
-        val = -sigma * (0.5 * math.sqrt(math.pi) * erfcx(sigma * X))
+        val = -sigma * (0.5 * math.sqrt(math.pi) * _numerics.special.erfcx(sigma * X))
     else:
         a = k / p
         x, growth = np.atleast_1d(x, growth)
         val = np.empty_like(x)
         val[~growth] = _exp_gamma_upper(a, x[~growth])
         xg = x[growth]
-        val[growth] = np.exp(xg) * _gamma(a) * (1.0 + gammainc(a, xg))
+        sf = _numerics.special
+        val[growth] = np.exp(xg) * sf.gamma(a) * (1.0 + sf.gammainc(a, xg))
         val = val.reshape(np.shape(X)) * ((-sigma if k % 2 else -1) / p)
     return float(val) if scalar else val
 
@@ -177,7 +177,8 @@ def gauss_moment(p: int, j: int, eps: float = 1.0) -> float:
         raise SeriesError("moment index must be >= 0")
     if j % 2:
         return 0.0
-    return (2.0 / p) * float(eps) ** ((j + 1) / p) * float(_gamma((j + 1) / p))
+    return ((2.0 / p) * float(eps) ** ((j + 1) / p)
+            * float(_numerics.special.gamma((j + 1) / p)))
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +292,8 @@ def apply_j(
     if not np.isfinite(us).all():
         raise BlowupError("flow values overflowed",
                           where=float(xs[np.argmin(np.isfinite(us))]))
-    spline = CubicSpline(xs[::-sigma], us[::-sigma])  # ascending knots
+    # ascending knots
+    spline = _numerics.interpolate.CubicSpline(xs[::-sigma], us[::-sigma])
     return RayFn(
         sigma=sigma,
         fn=spline,
@@ -330,7 +332,7 @@ def decaying_antiderivative(g, g1: float, p: int, X) -> float:
         return val
 
     if X >= 0:
-        val, _err = integrate.quad(f, X, np.inf, **_QUAD_OPTS)
+        val, _err = _numerics.integrate.quad(f, X, np.inf, **_QUAD_OPTS)
         return -val
-    val, _err = integrate.quad(f, -np.inf, X, **_QUAD_OPTS)
+    val, _err = _numerics.integrate.quad(f, -np.inf, X, **_QUAD_OPTS)
     return val

@@ -22,6 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import _numerics
 from ._scalar import is_exact, scalar_from_json, scalar_to_json
 from .errors import (
     BlowupError,
@@ -507,8 +508,6 @@ def _reduced_nonlinear_leading(spec: ODESpec, sigma: int, X_far=None,
     Y' = p X^(p-1) Y + c X^(r-1) + sum q_{jk} X^j Y^(k+1), integrated
     inward from its decaying tail; blowup before the origin is reported
     with its location."""
-    from scipy import integrate as _si
-
     p, r = spec.p, spec.r
     if X_far is None:
         X_far = 6.0 if p > 2 else 8.0
@@ -542,8 +541,9 @@ def _reduced_nonlinear_leading(spec: ODESpec, sigma: int, X_far=None,
     cap = 1e6
     blow = lambda X, y: abs(y[0]) - cap
     blow.terminal = True
-    sol = _si.solve_ivp(rhs, (x0, 0.0), [y0], method="RK45", rtol=1e-10,
-                        atol=1e-12, events=[blow], dense_output=True)
+    sol = _numerics.integrate.solve_ivp(rhs, (x0, 0.0), [y0], method="RK45",
+                                        rtol=1e-10, atol=1e-12, events=[blow],
+                                        dense_output=True)
     if sol.status == 1 or not sol.success:
         where = sol.t_events[0][0] if sol.status == 1 and len(sol.t_events[0]) else (
             sol.t[-1] if len(sol.t) else x0)

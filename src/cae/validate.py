@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import integrate
 
+from . import _numerics
 from .errors import BlowupError, DomainError, SeriesError
 from .series import CombinedSeries, TaylorPoly, evaluate_partial_sum
 from .special import EXP_CAP, ExponentCapError
@@ -88,8 +88,8 @@ def _quad_ray(f) -> float:
     import warnings
 
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, err = integrate.quad(f, 0.0, np.inf, **_QUAD_OPTS)
+        warnings.simplefilter("ignore", _numerics.integrate.IntegrationWarning)
+        val, err = _numerics.integrate.quad(f, 0.0, np.inf, **_QUAD_OPTS)
     if err > 1e-9 * max(1.0, abs(val)):
         raise SeriesError(f"quadrature failed to converge (est. error {err:.2e})")
     return val
@@ -134,7 +134,7 @@ def ode_solve(rhs: Callable, t_span, y0, tol: float = 1e-10,
 
     blow.terminal = True
     evs = [blow] + list(events or [])
-    sol = integrate.solve_ivp(
+    sol = _numerics.integrate.solve_ivp(
         fun, t_span, y0, method="RK45", rtol=tol, atol=tol * 1e-3,
         dense_output=True, events=evs, max_step=max_step,
     )

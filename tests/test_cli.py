@@ -98,6 +98,15 @@ class TestExitCodes:
         assert rc == 1
         assert out == "" and err.startswith("error: ")
 
+    @pytest.mark.parametrize("orders", ["-1", "2,-1"])
+    def test_validate_negative_order_exits_1(self, orders, tmp_path, capsys):
+        spec = write_spec(tmp_path, EX1)
+        rc = main(["validate", "--spec", spec, "--orders", orders,
+                   "--eps", "0.04,0.02,0.01", "--xgrid=-1:0:3"])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert out == "" and err.startswith("error: ")
+
     def test_validate_grid_ending_at_zero_accepted(self, tmp_path, capsys):
         for grid, side in (("-1:0:5", "minus"), ("0:1:5", "plus")):
             spec = write_spec(tmp_path, EX1)

@@ -131,6 +131,29 @@ class TestBorelLaplace:
         assert abs(val08 - ls) <= 2 * least + 2 * math.exp(-(0.8 / eta) ** 2)
         assert abs(val08 - full) < 2 * math.exp(-(0.8 / eta) ** 2)
 
+    @pytest.mark.parametrize("p", [2, 4])
+    @pytest.mark.parametrize("L", [1.0, -2.0])
+    def test_mpmath_oracle(self, p, L):
+        # a_n = (-L)^n Gamma(n/p + 1), n < N: B(t) is the geometric sum
+        # (1 - (-L t)^N) / (1 + L t), alternating for L > 0 and with a pole
+        # at t = 1/|L| on the positive axis for L < 0; the oracle integrates
+        # that closed form at 30 digits
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp
+        N = 24
+        coeffs = [float((-L) ** n * mpmath.gamma(mpmath.mpf(n) / p + 1))
+                  for n in range(N)]
+        for rho_frac, eta in ((0.9, 0.3), (0.5, 0.1), (0.8, 0.5)):
+            rho = rho_frac / abs(L)
+            with mpmath.workdps(30):
+                et = mpmath.mpf(eta)
+                B = lambda t: (1 - (-L * t) ** N) / (1 + L * t)
+                want = mp.quad(lambda t: mp.exp(-(t / et) ** p) * B(t)
+                               * p * t ** (p - 1) / et ** p,
+                               mpmath.linspace(0, rho, 5))
+            got = borel_laplace_truncated(coeffs, p, rho, eta)
+            assert got == pytest.approx(float(want), rel=1e-12), (rho, eta)
+
     def test_radius_guard(self):
         coeffs = [(-1) ** n * float(gamma(n / 2 + 1)) for n in range(40)]
         assert borel_radius_estimate(coeffs, 2) == pytest.approx(1.0, rel=1e-6)

@@ -498,6 +498,12 @@ class TestEvaluate:
         y = CombinedSeries(2, 2, slow=[TaylorPoly([0, 1])])
         assert evaluate_partial_sum(y, 0.5, 0.1) == pytest.approx(0.5)
 
+    def test_negative_order_refused(self):
+        y = CombinedSeries(2, 2, slow=[TaylorPoly([0, 1])])
+        assert evaluate_partial_sum(y, 0.5, 0.1, 0) == 0.0  # the empty sum
+        with pytest.raises(SeriesError, match="order -1"):
+            evaluate_partial_sum(y, 0.5, 0.1, -1)
+
     def test_domain_violation_rejected(self):
         from cae.errors import DomainError
 

@@ -337,6 +337,23 @@ class TestGaussMoment:
         assert gauss_moment(4, 2, 1.0) == pytest.approx(oracle, rel=1e-12)
         assert gauss_moment(4, 2, 1.0) == pytest.approx(0.5 * float(gamma(0.75)), rel=1e-14)
 
+    @pytest.mark.parametrize("p", [2, 4, 6, 8])
+    def test_mpmath_oracle(self, p):
+        # the defining integral at 30 digits, broken at the layer width
+        # eps^(1/p); odd moments vanish exactly
+        mpmath = pytest.importorskip("mpmath")
+        mp = mpmath.mp
+        for eps in (1e-3, 0.05, 1.0, 20.0):
+            w = eps ** (1.0 / p)
+            pts = [w * 2 ** i for i in range(6)]
+            breaks = [-mp.inf] + [-t for t in reversed(pts)] + [0] + pts + [mp.inf]
+            for j in range(0, 9, 2):
+                with mpmath.workdps(30):
+                    e = mpmath.mpf(eps)
+                    want = mp.quad(lambda t: mp.exp(-t ** p / e) * t ** j, breaks)
+                assert gauss_moment(p, j, eps) == pytest.approx(float(want), rel=1e-13), (j, eps)
+                assert gauss_moment(p, j + 1, eps) == 0.0
+
     def test_matches_quadrature_grid(self):
         # relative 1e-10 across the documented (p, j, eps) grid
         for p in (2, 4):
