@@ -1,20 +1,25 @@
-"""The one door to scipy: its submodules, imported on first use.
+"""The one door to scipy: its submodules, imported on first use, and the
+one checked quadrature.
 
 Importing scipy costs more than some commands (``cae expand`` on a y-linear
 spec, ``cae resonance``, ``cae --help``) spend on their work, and they never
 call it.  So no other cae module imports scipy; each reads the submodule it
-needs as an attribute of this one, ``_numerics.integrate.quad(...)``, and
+needs as an attribute of this one, ``_numerics.optimize.brentq(...)``, and
 the first read imports it.  Later reads find the module in this module's
 namespace and cost one attribute lookup.
 
 Look scipy functions up at call time, as above: a name bound once at import
-(``quad = _numerics.integrate.quad``) keeps pointing at the original after
-a tracer or a test replaces the function on the scipy module.
+(``brentq = _numerics.optimize.brentq``) keeps pointing at the original
+after a tracer or a test replaces the function on the scipy module.
 """
 
 import importlib
+import warnings
+
+from .errors import SeriesError
 
 _SUBMODULES = ("integrate", "interpolate", "optimize", "special")
+_QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=300)
 
 
 def __getattr__(name: str):
@@ -25,3 +30,19 @@ def __getattr__(name: str):
     module = importlib.import_module(f"scipy.{name}")
     globals()[name] = module
     return module
+
+
+def quad(f, a: float, b: float) -> float:
+    """integral_a^b f by QUADPACK (either end may be infinite), checked on
+    its own error estimate: above 1e-9 * max(1, |value|) it raises
+    SeriesError.  QUADPACK's roundoff notice is demoted to that check
+    (steep relief shoulders trip the notice while the estimate stays far
+    below any tolerance used here)."""
+    # a bare name in this module does not reach __getattr__, so ask it
+    integrate = __getattr__("integrate")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        val, err = integrate.quad(f, a, b, **_QUAD_OPTS)
+    if err > 1e-9 * max(1.0, abs(val)):
+        raise SeriesError(f"quadrature failed to converge (est. error {err:.2e})")
+    return val

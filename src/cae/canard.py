@@ -15,7 +15,6 @@ mildly stiff; results are independent of X_far beyond that.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache, partial
 from typing import Callable, NamedTuple
 
@@ -32,28 +31,20 @@ _TAIL_TERMS = 8  # nonzero terms of both tail anchors
 # connection-problem plumbing
 
 
-@dataclass(frozen=True)
-class ConnectionProblem:
-    """A scalar connection problem dY/dX = rhs(X, Y) with a declared tail
-    anchor function and an additive control parameter baked into rhs;
-    ``anchor_residual`` checks that the anchor solves the equation."""
-
-    rhs: Callable
-    anchor: Callable
-    X_far: float
-    control: float = 0.0
-
-    def anchor_residual(self, side: int = 1, h: float = 1e-4) -> float:
-        """|Y'(X0) - rhs(X0, Y(X0))| at X0 = side*X_far, with Y' taken from
-        the anchor by a centered difference."""
-        X0 = side * self.X_far
-        der = (self.anchor(X0 + h) - self.anchor(X0 - h)) / (2 * h)
-        return abs(der - self.rhs(X0, self.anchor(X0)))
+def _anchor_residual(rhs: Callable, anchor: Callable, X0: float,
+                     h: float = 1e-4) -> float:
+    """|Y'(X0) - rhs(X0, Y(X0))| for the tail anchor Y of the scalar
+    equation dY/dX = rhs(X, Y), with Y' taken by a centered difference:
+    how well the anchor solves the equation."""
+    der = (anchor(X0 + h) - anchor(X0 - h)) / (2 * h)
+    return abs(der - rhs(X0, anchor(X0)))
 
 
 def _shoot(rhs: Callable, X0: float, y0):
     """The array y(0) of the system dy/dX = rhs(X, y) through y0 at X0:
-    one DOP853 solve; every component must attract on the way to 0."""
+    one DOP853 solve; every component must attract on the way to 0.
+    Only the endpoint is wanted, so unlike ``validate.ode_solve`` this
+    keeps no dense output and watches no events."""
     sol = _numerics.integrate.solve_ivp(rhs, (X0, 0.0), y0, method="DOP853",
                                         rtol=1e-12, atol=1e-14)
     if not sol.success:
@@ -169,9 +160,8 @@ def union_jack_c0(tol: float = 1e-10, X_far: float = 6.0,
 
 
 def union_jack_anchor_residual(c: float, X_far: float = 6.0) -> float:
-    return ConnectionProblem(partial(union_jack_rhs, c=c),
-                             partial(_uj_anchor, c), X_far, c
-                             ).anchor_residual(side=-1)
+    return _anchor_residual(partial(union_jack_rhs, c=c),
+                            partial(_uj_anchor, c), -X_far)
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +186,8 @@ def _reduced_anchor(D: float, T: float) -> float:
 
 
 def reduced_anchor_residual(D: float, T_far: float = 7.0) -> float:
-    return ConnectionProblem(lambda T, V: T * V + V * V + D,
-                             partial(_reduced_anchor, D), T_far, D
-                             ).anchor_residual(side=1)
+    return _anchor_residual(lambda T, V: T * V + V * V + D,
+                            partial(_reduced_anchor, D), T_far)
 
 
 def angular_canard_value(eps: float, tol: float = 1e-10,

@@ -18,8 +18,6 @@ import numpy as np
 from . import _numerics
 from .errors import SeriesError
 
-_QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=200)
-
 
 def _gamma_weight_log(n: float, p: int) -> float:
     return float(_numerics.special.gammaln(n / p + 1.0))
@@ -150,8 +148,7 @@ def borel_laplace_truncated(coeffs: Sequence[float], p: int, rho: float,
             * p * t ** (p - 1) / eta ** p
         )
 
-    val, _err = _numerics.integrate.quad(f, 0.0, rho, **_QUAD_OPTS)
-    return val
+    return _numerics.quad(f, 0.0, rho)
 
 
 def least_term_sum(coeffs: Sequence[float], p: int, eta: float):

@@ -21,7 +21,6 @@ from typing import Callable, Optional, Sequence
 
 from .errors import (
     CompatibilityError,
-    DomainError,
     InfeasibleError,
     InsufficientTailError,
     MissingEvaluatorError,
@@ -463,13 +462,13 @@ class BasisTerm:
 class FastFn:
     """A fast coefficient g(X): an asymptotic tail plus optional ways to
     evaluate it (a closed-form basis, an exact finite tail, or a raw
-    evaluator restricted to a declared interval)."""
+    evaluator; an evaluator built on a RayFn refuses points off its
+    grid)."""
 
     tail: AsymTail = AsymTail.zero()
     basis: tuple = ()  # of BasisTerm
     evaluator: Optional[Callable] = None
     exact: bool = False
-    domain: Optional[tuple] = None
 
     @staticmethod
     @functools.cache  # one shared instance
@@ -498,23 +497,12 @@ class FastFn:
 
     def __call__(self, X):
         if self.evaluator is not None:
-            if self.domain is not None and not (self.domain[0] <= X <= self.domain[1]):
-                raise DomainError(
-                    f"X={X} outside evaluator domain [{self.domain[0]}, {self.domain[1]}]"
-                )
             return self.evaluator(X)
         if self.basis:
             return math.fsum(float(t(X)) for t in self.basis)
         if self.exact:
             return self.tail.partial_sum(X)
         raise MissingEvaluatorError("fast coefficient has no evaluator")
-
-    def _merged_domain(self, other):
-        if self.domain is None:
-            return other.domain
-        if other.domain is None:
-            return self.domain
-        return (max(self.domain[0], other.domain[0]), min(self.domain[1], other.domain[1]))
 
     def __add__(self, other: "FastFn") -> "FastFn":
         if self.is_zero():
@@ -529,10 +517,7 @@ class FastFn:
             return FastFn(tail, (*self.basis, *other.basis))
         if self.can_eval and other.can_eval:
             f, g = self, other
-            return FastFn(
-                tail, (), lambda X: float(f(X)) + float(g(X)),
-                domain=self._merged_domain(other),
-            )
+            return FastFn(tail, (), lambda X: float(f(X)) + float(g(X)))
         return FastFn(tail)
 
     def scale(self, s) -> "FastFn":
@@ -547,7 +532,6 @@ class FastFn:
             tuple(t.scale(s) for t in self.basis),
             ev,
             exact=self.exact,
-            domain=self.domain,
         )
 
     def __mul__(self, other: "FastFn") -> "FastFn":
@@ -558,9 +542,7 @@ class FastFn:
             return FastFn(tail, (), None, exact=True)
         if self.can_eval and other.can_eval:
             f, g = self, other
-            return FastFn(
-                tail, (), lambda X: f(X) * g(X), domain=self._merged_domain(other)
-            )
+            return FastFn(tail, (), lambda X: f(X) * g(X))
         return FastFn(tail)
 
     def shift(self) -> "FastFn":
@@ -572,9 +554,7 @@ class FastFn:
         if self.can_eval:
             f = self
             g1f = float(g1)
-            return FastFn(
-                tail, (), lambda X: X * float(f(X)) - g1f, domain=self.domain
-            )
+            return FastFn(tail, (), lambda X: X * float(f(X)) - g1f)
         return FastFn(tail)
 
     def derivative(self) -> "FastFn":
@@ -952,7 +932,7 @@ def _fast_antiderivative(g: FastFn, g1, p: int) -> FastFn:
     if not g.can_eval:
         return FastFn(tail)
     ev = functools.partial(special.decaying_antiderivative, g, g1, p)
-    return FastFn(tail, (), ev, domain=g.domain)
+    return FastFn(tail, (), ev)
 
 
 def compose_left(P, y: CombinedSeries) -> CombinedSeries:

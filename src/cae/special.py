@@ -32,7 +32,6 @@ from .errors import (
 from .series import AsymTail, Laurent, TaylorPoly
 
 EXP_CAP = 700.0  # |X|**p beyond this would overflow exp() in double precision
-_QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=200)
 
 
 class ExponentCapError(CaeError):
@@ -204,7 +203,7 @@ class RayFn:
         lo, hi = self.domain
         Xa = np.asarray(X, dtype=float)
         if not ((lo - 1e-12 <= Xa) & (Xa <= hi + 1e-12)).all():
-            raise DomainError(f"X={X} outside [{lo}, {hi}]")
+            raise DomainError(f"X={X} outside evaluator domain [{lo}, {hi}]")
         out = np.reshape(f(Xa.ravel()), Xa.shape)
         return float(out) if out.ndim == 0 else out
 
@@ -229,7 +228,6 @@ def apply_j(
     X_far: Optional[float] = None,
     depth: int = 16,
     grid_n: int = 2048,
-    extend_to: float = 0.0,
 ) -> RayFn:
     """Unique polynomial-growth solution of dU/dX = p X**(p-1) U + v(X)
     on the sigma side.
@@ -245,8 +243,7 @@ def apply_j(
     Each cell integral is 8-point Gauss-Legendre, on as many panels as keep
     the exponent drop per panel at most 3; v is called once, on the array
     of all nodes (a scalar result broadcasts).  A cubic spline through the
-    grid values gives dense evaluation.  ``extend_to`` >= 0 continues past
-    the origin onto the growth side (accuracy degrades with exp(X**p)).
+    grid values gives dense evaluation.
 
     v may be a RayFn (its ``tail`` supplies the formal part), a callable
     with ``v_series`` given, or a constant.
@@ -270,7 +267,7 @@ def apply_j(
 
     u_series = tail_of_j_series(p, v_series, depth)
     x0 = sigma * X_far
-    xs = np.linspace(x0, -sigma * abs(extend_to), grid_n)
+    xs = np.linspace(x0, 0.0, grid_n)
     pw = xs ** p
     # panels: cell i is split into m_i equal parts
     m = np.maximum(1, np.ceil(np.abs(np.diff(pw)) / _MAX_DROP)).astype(int)
@@ -332,7 +329,5 @@ def decaying_antiderivative(g, g1: float, p: int, X) -> float:
         return val
 
     if X >= 0:
-        val, _err = _numerics.integrate.quad(f, X, np.inf, **_QUAD_OPTS)
-        return -val
-    val, _err = _numerics.integrate.quad(f, -np.inf, X, **_QUAD_OPTS)
-    return val
+        return -_numerics.quad(f, X, np.inf)
+    return _numerics.quad(f, -np.inf, X)

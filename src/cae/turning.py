@@ -22,7 +22,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import _numerics
 from ._scalar import is_exact, scalar_from_json, scalar_to_json
 from .errors import (
     BlowupError,
@@ -42,6 +41,7 @@ from .series import (
     shift_slow,
 )
 from .special import RayFn, apply_j, tail_of_j_series
+from .validate import ode_solve
 
 
 class UnsupportedExpansionError(CaeError):
@@ -338,9 +338,7 @@ class InnerCoeff:
         ray = self.ray
         if ray is None:
             return FastFn(self.tail)
-        return FastFn(
-            self.tail, (), lambda X: ray(X) - float(poly(X)), domain=ray.domain
-        )
+        return FastFn(self.tail, (), lambda X: ray(X) - float(poly(X)))
 
 
 @dataclass(frozen=True)
@@ -518,10 +516,10 @@ def _reduced_nonlinear_leading(spec: ODESpec, sigma: int, X_far=None,
     ]
 
     def rhs(X, y):
-        val = p * X ** (p - 1) * y[0] + float(c) * X ** (r - 1)
+        val = p * X ** (p - 1) * y + float(c) * X ** (r - 1)
         for (j, k), cc in qterms:
-            val += float(cc) * X ** j * y[0] ** (k + 1)
-        return [val]
+            val += float(cc) * X ** j * y ** (k + 1)
+        return val
 
     # formal tail of the nonlinear solution, by the same fixed-point
     # inversion with the nonlinear terms folded in iteratively
@@ -537,22 +535,13 @@ def _reduced_nonlinear_leading(spec: ODESpec, sigma: int, X_far=None,
         u = tail_of_j_series(p, v, depth)
 
     x0 = sigma * X_far
-    y0 = float(u(x0))
-    cap = 1e6
-    blow = lambda X, y: abs(y[0]) - cap
-    blow.terminal = True
-    sol = _numerics.integrate.solve_ivp(rhs, (x0, 0.0), [y0], method="RK45",
-                                        rtol=1e-10, atol=1e-12, events=[blow],
-                                        dense_output=True)
-    if sol.status == 1 or not sol.success:
-        where = sol.t_events[0][0] if sol.status == 1 and len(sol.t_events[0]) else (
-            sol.t[-1] if len(sol.t) else x0)
+    tr = ode_solve(rhs, (x0, 0.0), float(u(x0)), tol=1e-10, cap=1e6)
+    if tr.blowup:
         raise BlowupError(
-            f"reduced inner solution blows up at X={where:.6g} before the origin",
-            where=where,
+            f"reduced inner solution blows up at X={tr.t_blow:.6g} before the origin",
+            where=tr.t_blow,
         )
-    dense = sol.sol
-    ray = RayFn(sigma=sigma, fn=lambda X: dense(X)[0],
+    ray = RayFn(sigma=sigma, fn=lambda X: tr.dense(X)[0],
                 domain=(min(x0, 0.0), max(x0, 0.0)), tail=u)
     return InnerCoeff(order=r, sigma=sigma, poly=TaylorPoly.part(u).to_float(),
                       tail=AsymTail.part(u).to_float(), ray=ray)

@@ -3,7 +3,8 @@
 Commands that never call scipy must not import it, and the numeric
 commands must still work from a fresh interpreter, where nothing else has
 imported scipy first.  The scipy entry points are looked up at call time,
-so a replacement installed on the scipy module sees every call.
+so a replacement installed on the scipy module sees every call, and every
+quadrature checks the error estimate it gets back.
 """
 
 import collections
@@ -11,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,10 +20,13 @@ from scipy import integrate, optimize
 
 import cae
 from cae.canard import angular_canard_value
+from cae.errors import SeriesError
 from cae.gevrey import borel_laplace_truncated
-from cae.series import TaylorPoly
+from cae.series import CombinedSeries, TaylorPoly, antiderivative
+from cae.turning import ODESpec, inner_expansion
 from cae.validate import bounded_solution_quadrature
 from test_golden import CASES, GOLDEN, INPUTS
+from test_series import u_minus
 
 SRC = str(Path(cae.__file__).resolve().parents[1])
 
@@ -98,3 +103,26 @@ def test_canard_solve_calls_solve_ivp_and_brentq(scipy_calls):
 def test_borel_laplace_calls_quad(scipy_calls):
     borel_laplace_truncated([1.0, -1.0, 2.0], 2, 0.5, 0.3)
     assert scipy_calls == {"quad": 1}
+
+
+def test_reduced_nonlinear_leading_calls_solve_ivp_once(scipy_calls):
+    tame = ODESpec(p=2, h={(0, 0): Fraction(1, 10)},
+                   P={(0, 1, 0): Fraction(1, 10)})
+    inner_expansion(tame, 2, -1)
+    assert scipy_calls == {"solve_ivp": 1}
+
+
+@pytest.mark.parametrize("site", ["truth", "borel_laplace", "antiderivative"])
+def test_quadrature_refuses_a_large_error_estimate(monkeypatch, site):
+    """Every quadrature checks QUADPACK's error estimate: a value of 1 with
+    an estimated error of 1 is refused, not returned."""
+    monkeypatch.setattr(integrate, "quad", lambda *a, **k: (1.0, 1.0))
+    with pytest.raises(SeriesError, match=r"est\. error 1\.00e\+00"):
+        if site == "truth":
+            bounded_solution_quadrature(TaylorPoly([0, 0, 1]),
+                                        lambda t: 1.0 + t, 0.01, -0.5, -1)
+        elif site == "borel_laplace":
+            borel_laplace_truncated([1.0, -1.0, 2.0], 2, 0.5, 0.3)
+        else:
+            y = CombinedSeries(2, 2, fast=[u_minus()])
+            antiderivative(y, 0)[0].fast[1](-2.0)

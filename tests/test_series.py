@@ -507,10 +507,12 @@ class TestEvaluate:
     def test_domain_violation_rejected(self):
         from cae.errors import DomainError
 
-        g = FastFn(AsymTail([1.0]), (), lambda X: 1.0 / X, domain=(-8.0, 0.0))
+        ray = special.RayFn(sigma=-1, fn=lambda X: 1.0 / X, domain=(-8.0, 0.0))
+        g = FastFn(AsymTail([1.0]), (), ray)
         y = CombinedSeries(2, 1, fast=[g])
         assert evaluate_partial_sum(y, -0.4, 0.1) == pytest.approx(-0.25)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError,
+                           match=r"X=20\.0 outside evaluator domain \[-8\.0, 0\.0\]"):
             evaluate_partial_sum(y, 2.0, 0.1)
 
     def test_one_term_gaussian_layer(self):
