@@ -19,7 +19,7 @@ from .series import (
     BasisTerm,
     CombinedSeries,
     FastFn,
-    LaurentPoly,
+    Laurent,
     LogComponent,
     TaylorPoly,
     antiderivative,
@@ -39,7 +39,7 @@ from .series import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymTail", "BasisTerm", "CombinedSeries", "FastFn", "LaurentPoly",
+    "AsymTail", "BasisTerm", "CombinedSeries", "FastFn", "Laurent",
     "LogComponent", "TaylorPoly", "antiderivative", "compose_left",
     "differentiate", "differentiate_with_log", "evaluate_partial_sum",
     "evaluate_with_log", "extract_inner", "extract_outer", "multiply",

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Scalar = (int, float, Fraction)
-
 
 def is_exact(x) -> bool:
     return isinstance(x, (int, Fraction))

@@ -25,18 +25,20 @@ from .turning import ODESpec, UnsupportedExpansionError, _g_polynomials
 
 _TOL_FLOOR = 1e-12  # finest root tolerance; the solves run at rtol 1e-12
 _TAIL_TERMS = 8  # nonzero terms of both tail anchors
+_X_FAR = 6.0  # |X| of the Union Jack anchors
+_T_FAR = 7.0  # T of the angular anchor
+_DIFF_STEP = 1e-4  # centered-difference step of _anchor_residual
 
 
 # ---------------------------------------------------------------------------
 # connection-problem plumbing
 
 
-def _anchor_residual(rhs: Callable, anchor: Callable, X0: float,
-                     h: float = 1e-4) -> float:
+def _anchor_residual(rhs: Callable, anchor: Callable, X0: float) -> float:
     """|Y'(X0) - rhs(X0, Y(X0))| for the tail anchor Y of the scalar
     equation dY/dX = rhs(X, Y), with Y' taken by a centered difference:
     how well the anchor solves the equation."""
-    der = (anchor(X0 + h) - anchor(X0 - h)) / (2 * h)
+    der = (anchor(X0 + _DIFF_STEP) - anchor(X0 - _DIFF_STEP)) / (2 * _DIFF_STEP)
     return abs(der - rhs(X0, anchor(X0)))
 
 
@@ -105,7 +107,7 @@ def union_jack_rhs(X, Y, c):
     return Y * (Y - X) * (Y + X) + c
 
 
-def _uj_mismatch(c: float, X_far: float = 6.0, s: float = 1.0) -> float:
+def _uj_mismatch(c: float, X_far: float = _X_FAR, s: float = 1.0) -> float:
     """F(c) = Y_fwd(0) - Y_bwd(0): the solution vanishing at -infinity,
     shot forward from -X_far, against the branch growing like s*X, shot
     backward from +X_far.  The backward leg is reflected, Z(X) =
@@ -126,7 +128,7 @@ class UnionJackResult(NamedTuple):
     evaluations: int  # mismatch evaluations made, one solve each
 
 
-def union_jack_connection(tol: float = 1e-10, X_far: float = 6.0,
+def union_jack_connection(tol: float = 1e-10, X_far: float = _X_FAR,
                           mirror: bool = False) -> UnionJackResult:
     """``union_jack_c0`` with its measured cost and final mismatch.
 
@@ -148,7 +150,7 @@ def union_jack_connection(tol: float = 1e-10, X_far: float = 6.0,
     return UnionJackResult(c0, abs(F(c0)), F.cache_info().currsize)
 
 
-def union_jack_c0(tol: float = 1e-10, X_far: float = 6.0,
+def union_jack_c0(tol: float = 1e-10, X_far: float = _X_FAR,
                   mirror: bool = False) -> float:
     """Connection constant of dY/dX = Y(Y-X)(Y+X) + c: the unique c in
     (0, 1) joining the solution that vanishes at -infinity to the branch
@@ -159,7 +161,7 @@ def union_jack_c0(tol: float = 1e-10, X_far: float = 6.0,
     return union_jack_connection(tol, X_far, mirror).value
 
 
-def union_jack_anchor_residual(c: float, X_far: float = 6.0) -> float:
+def union_jack_anchor_residual(c: float, X_far: float = _X_FAR) -> float:
     return _anchor_residual(partial(union_jack_rhs, c=c),
                             partial(_uj_anchor, c), -X_far)
 
@@ -185,13 +187,13 @@ def _reduced_anchor(D: float, T: float) -> float:
     return _power_sum(_reduced_tail(D), T ** -2) / T
 
 
-def reduced_anchor_residual(D: float, T_far: float = 7.0) -> float:
+def reduced_anchor_residual(D: float) -> float:
     return _anchor_residual(lambda T, V: T * V + V * V + D,
-                            partial(_reduced_anchor, D), T_far)
+                            partial(_reduced_anchor, D), _T_FAR)
 
 
 def angular_canard_value(eps: float, tol: float = 1e-10,
-                         T_far: float = 7.0) -> float:
+                         T_far: float = _T_FAR) -> float:
     """Canard value c(eps) of the classical angular problem: the root of
 
         gamma(eps)  V_d(0, (c - d(eps)) / gamma(eps)**2)

@@ -18,6 +18,8 @@ import numpy as np
 from . import _numerics
 from .errors import SeriesError
 
+_CURVATURE_THRESHOLD = 0.01  # a quadratic coefficient below minus this is sub-Gevrey
+
 
 def _gamma_weight_log(n: float, p: int) -> float:
     return float(_numerics.special.gammaln(n / p + 1.0))
@@ -35,8 +37,7 @@ class GevreyFit:
     sub_gevrey: bool = False
 
 
-def gevrey_fit(norms: Sequence[float], p: int,
-               curvature_threshold: float = 0.01) -> GevreyFit:
+def gevrey_fit(norms: Sequence[float], p: int) -> GevreyFit:
     """Least squares of log(norm_n) - log Gamma(n/p+1) against n.
 
     Zero norms are skipped (all-zero input comes back degenerate).  A
@@ -61,7 +62,7 @@ def gevrey_fit(norms: Sequence[float], p: int,
         C=math.exp(float(intercept)),
         L1=math.exp(float(slope)),
         residual=resid,
-        sub_gevrey=c2 < -curvature_threshold,
+        sub_gevrey=c2 < -_CURVATURE_THRESHOLD,
     )
 
 

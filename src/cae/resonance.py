@@ -25,6 +25,7 @@ from .errors import DomainError, SeriesError
 from .series import TaylorPoly
 
 INT_TOL = 1e-9
+_MIN_ROOT_DISTANCE = 0.1  # Riccati grid points closer to a zero of Z0 are skipped
 
 
 @dataclass(frozen=True)
@@ -101,11 +102,10 @@ def red_residual(case: ResonanceCase, Z: TaylorPoly) -> TaylorPoly:
 
 
 def riccati_leading_check(case: ResonanceCase,
-                          grid: Sequence[float],
-                          min_distance: float = 0.1) -> float:
+                          grid: Sequence[float]) -> float:
     """Max residual of Y = Z0'/Z0 in the reduced Riccati equation
     Y' = alpha X^(p-1) Y - beta X^(p-2) - Y^2 over the usable grid points
-    (those at least ``min_distance`` away from every zero of Z0).
+    (those at least ``_MIN_ROOT_DISTANCE`` away from every zero of Z0).
 
     Returns the max |Y' - alpha X^(p-1) Y + beta X^(p-2) + Y^2|; an empty
     usable grid is an error.
@@ -117,7 +117,7 @@ def riccati_leading_check(case: ResonanceCase,
     real_roots = [r.real for r in roots if abs(r.imag) < 1e-9]
     usable = [
         float(X) for X in grid
-        if all(abs(X - r) >= min_distance for r in real_roots)
+        if all(abs(X - r) >= _MIN_ROOT_DISTANCE for r in real_roots)
     ]
     if not usable:
         raise DomainError(

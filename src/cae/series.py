@@ -34,7 +34,7 @@ DEFAULT_TAIL_DEPTH = 8
 
 
 # ---------------------------------------------------------------------------
-# the truncated-Laurent core and its three views
+# the truncated-Laurent core and its two views
 
 
 def _window(c, offset: int, lo: int, hi: int) -> list:
@@ -114,6 +114,11 @@ class Laurent:
     @property
     def coeffs(self) -> tuple:
         return self.dense
+
+    @property
+    def pole_order(self) -> int:
+        """Largest k with a nonzero t**-k coefficient (0 if regular)."""
+        return max(0, -self.offset)
 
     @property
     def top_degree(self) -> int:
@@ -292,26 +297,6 @@ def shift_slow(a: TaylorPoly) -> TaylorPoly:
     on coefficients, and the degree drops by one.
     """
     return a.shift(-1)
-
-
-class LaurentPoly(Laurent):
-    """Finite Laurent polynomial sum(c_m x**m), m = -K..M, exact pole order."""
-
-    __slots__ = ()
-
-    def __init__(self, coeffs: Sequence = (), offset: int = 0):
-        _fill(self, *self._norm(list(coeffs), offset, None))  # coeffs[i] at x**(offset + i)
-
-    @property
-    def pole_order(self) -> int:
-        """Largest k with a nonzero x**-k coefficient (0 if regular)."""
-        return max(0, -self.offset)
-
-    def regular_part(self) -> TaylorPoly:
-        return TaylorPoly.part(self)
-
-    def __repr__(self):
-        return f"LaurentPoly({list(self.dense)!r}, offset={self.offset})"
 
 
 class AsymTail(Laurent):
@@ -658,18 +643,6 @@ class LogComponent:
             acc += float(r) * eta ** k
         return acc * self.kernel(x / eta)
 
-    def to_json(self):
-        return {
-            "residues": [scalar_to_json(r) for r in self.residues],
-            "kernel_p": self.kernel_p,
-        }
-
-    @staticmethod
-    def from_json(d):
-        return LogComponent(
-            tuple(scalar_from_json(r) for r in d["residues"]), d["kernel_p"]
-        )
-
     def __repr__(self):
         return f"LogComponent({list(self.residues)!r}, kernel_p={self.kernel_p})"
 
@@ -771,16 +744,13 @@ class CombinedSeries:
 
     # -- serialization ------------------------------------------------------
 
-    def to_json(self, log: Optional[LogComponent] = None):
-        doc = {
+    def to_json(self):
+        return {
             "p": self.p,
             "N": self.N,
             "slow": [[scalar_to_json(c) for c in a.coeffs] for a in self.slow],
             "fast": [g.to_json() for g in self.fast],
         }
-        if log is not None:
-            doc["log"] = log.to_json()
-        return doc
 
     @staticmethod
     def from_json(doc) -> "CombinedSeries":
@@ -977,13 +947,13 @@ def compose_left(P, y: CombinedSeries) -> CombinedSeries:
     return out
 
 
-def extract_outer(y: CombinedSeries, n: int) -> LaurentPoly:
+def extract_outer(y: CombinedSeries, n: int) -> Laurent:
     """Outer (Poincare-type) coefficient c_n = slow_n + pole corrections
     collected from the tails of the lower fast parts."""
     if not 0 <= n < y.N:
         raise SeriesError(f"order {n} outside truncation {y.N}")
     poles = [y.fast[n - m].tail.coefficient(m) for m in range(n, 0, -1)]
-    return LaurentPoly.part(y.slow[n]) + LaurentPoly(poles, -n)
+    return Laurent.part(y.slow[n]) + Laurent(poles, -n)
 
 
 def extract_inner(y: CombinedSeries, n: int) -> tuple:
@@ -996,10 +966,10 @@ def extract_inner(y: CombinedSeries, n: int) -> tuple:
     return poly, y.fast[n].tail
 
 
-def check_matching(outer: Sequence[LaurentPoly], inner: Sequence[tuple],
+def check_matching(outer: Sequence[Laurent], inner: Sequence[tuple],
                    tol: float = 1e-9) -> None:
     """Check the matching identity c_{n,m} = z_{n+m,-m} between outer
-    coefficients (one LaurentPoly in x per eta-order n) and inner ones (one
+    coefficients (one Laurent in x per eta-order n) and inner ones (one
     (TaylorPoly, AsymTail) pair in X per eta-order).
 
     Both sides are compared both ways: every stored tail coefficient against
@@ -1063,7 +1033,7 @@ def check_matching(outer: Sequence[LaurentPoly], inner: Sequence[tuple],
 
 
 def reconstruct_from_matching(
-    outer: Sequence[LaurentPoly],
+    outer: Sequence[Laurent],
     inner: Sequence[tuple],
     p: int,
     tol: float = 1e-9,
@@ -1075,7 +1045,7 @@ def reconstruct_from_matching(
     """
     check_matching(outer, inner, tol)
     N = min(len(outer), len(inner))
-    return CombinedSeries(p, N, [outer[n].regular_part() for n in range(N)],
+    return CombinedSeries(p, N, [TaylorPoly.part(outer[n]) for n in range(N)],
                           [FastFn(inner[n][1]) for n in range(N)])
 
 

@@ -29,9 +29,10 @@ from .errors import (
     DomainError,
     SeriesError,
 )
-from .series import AsymTail, Laurent, TaylorPoly
+from .series import AsymTail, Laurent
 
 EXP_CAP = 700.0  # |X|**p beyond this would overflow exp() in double precision
+TAIL_DEPTH = 16  # formal-tail terms kept for flow solutions and U_k
 
 
 class ExponentCapError(CaeError):
@@ -73,20 +74,10 @@ def tail_of_j_series(p: int, v: Laurent, depth: int) -> Laurent:
     return u
 
 
-def tail_of_j(p: int, sigma: int, v: Laurent, depth: int,
-              v_tail: Optional[AsymTail] = None):
-    """Formal (polynomial part, tail) of the J-image of v (a TaylorPoly,
-    optionally plus ``v_tail``, or any Laurent series in X).  The expansion
-    is side-independent; ``sigma`` only selects which function realizes it.
-    """
-    u = tail_of_j_series(p, v if v_tail is None else v + v_tail, depth)
-    return TaylorPoly.part(u), AsymTail.part(u)
-
-
 _U_TAIL_CACHE: dict = {}
 
 
-def u_tail(p: int, k: int, depth: int = 16) -> AsymTail:
+def u_tail(p: int, k: int, depth: int = TAIL_DEPTH) -> AsymTail:
     """Formal tail of U_k (same series for both sides), derived once per
     (p, k, depth) per process; the shared AsymTail is immutable."""
     key = (p, k, depth)
@@ -218,6 +209,12 @@ class RayFn:
 
 _GAUSS_T, _GAUSS_W = np.polynomial.legendre.leggauss(8)
 _MAX_DROP = 3.0  # largest exponent drop e^(-drop) one 8-point panel integrates
+_RESIDUAL_POINTS = 50  # grid points of flow_residual
+
+
+def _x_far(p: int) -> float:
+    """|X| at which a flow solution is anchored on its formal tail."""
+    return 8.0 if p == 2 else 6.0
 
 
 def apply_j(
@@ -225,15 +222,14 @@ def apply_j(
     sigma: int,
     v,
     v_series: Optional[Laurent] = None,
-    X_far: Optional[float] = None,
-    depth: int = 16,
+    depth: int = TAIL_DEPTH,
     grid_n: int = 2048,
 ) -> RayFn:
     """Unique polynomial-growth solution of dU/dX = p X**(p-1) U + v(X)
     on the sigma side.
 
-    The solution is anchored at sigma*X_far with its asymptotic tail and
-    carried inward over a grid of ``grid_n`` points by the explicit
+    The solution is anchored at sigma * _x_far(p) with its asymptotic tail
+    and carried inward over a grid of ``grid_n`` points by the explicit
     solution of the flow,
 
         U_{i+1} = e^{X_{i+1}^p - X_i^p} U_i
@@ -245,16 +241,12 @@ def apply_j(
     of all nodes (a scalar result broadcasts).  A cubic spline through the
     grid values gives dense evaluation.
 
-    v may be a RayFn (its ``tail`` supplies the formal part), a callable
-    with ``v_series`` given, or a constant.
+    v is a callable with ``v_series``, its formal expansion, given, or a
+    constant.
     """
     _check_p(p)
     if sigma not in (-1, 1):
         raise SeriesError("sigma must be -1 or +1")
-    if X_far is None:
-        X_far = 8.0 if p == 2 else 6.0
-    if isinstance(v, RayFn) and v_series is None:
-        v_series = v.tail
     if callable(v):
         v_fn = v
     else:  # constant
@@ -266,7 +258,7 @@ def apply_j(
         raise SeriesError("apply_j needs the formal expansion of v for anchoring")
 
     u_series = tail_of_j_series(p, v_series, depth)
-    x0 = sigma * X_far
+    x0 = sigma * _x_far(p)
     xs = np.linspace(x0, 0.0, grid_n)
     pw = xs ** p
     # panels: cell i is split into m_i equal parts
@@ -300,12 +292,12 @@ def apply_j(
     )
 
 
-def flow_residual(u: RayFn, p: int, v_fn: Callable, n: int = 50) -> float:
+def flow_residual(u: RayFn, p: int, v_fn: Callable) -> float:
     """max |U'(X) - p X^(p-1) U(X) - v(X)| / (1 + |v(X)|) over a grid of
     the stored domain (spline derivative versus the defining equation)."""
     lo, hi = u.domain
     pad = 0.02 * (hi - lo)
-    xs = np.linspace(lo + pad, hi - pad, n)
+    xs = np.linspace(lo + pad, hi - pad, _RESIDUAL_POINTS)
     worst = 0.0
     for X in xs:
         r = abs(u.derivative(X) - p * X ** (p - 1) * u(X) - float(v_fn(X)))

@@ -35,12 +35,11 @@ from .series import (
     CombinedSeries,
     FastFn,
     Laurent,
-    LaurentPoly,
     TaylorPoly,
     check_matching,
     shift_slow,
 )
-from .special import RayFn, apply_j, tail_of_j_series
+from .special import TAIL_DEPTH, RayFn, _x_far, apply_j, tail_of_j_series
 from .validate import ode_solve
 
 
@@ -217,18 +216,18 @@ def outer_expansion(spec: ODESpec, N: int) -> OuterExpansion:
         raise SeriesError("outer expansion needs N >= 1")
     p = spec.p
     inv_p = Fraction(1, p) if spec.exact else 1.0 / p
-    vs = [LaurentPoly.zero()]
+    vs = [Laurent.zero()]
     # powers[k][m] = [eps^m] (sum v_nu eps^nu)^k, built incrementally
     powers = {1: {}}
 
-    def upower(k: int, m: int) -> LaurentPoly:
+    def upower(k: int, m: int) -> Laurent:
         if k == 0:
-            return LaurentPoly([1]) if m == 0 else LaurentPoly.zero()
+            return Laurent([1]) if m == 0 else Laurent.zero()
         if k == 1:
-            return powers[1].get(m, LaurentPoly.zero())
+            return powers[1].get(m, Laurent.zero())
         table = powers.setdefault(k, {})
         if m not in table:
-            acc = LaurentPoly.zero()
+            acc = Laurent.zero()
             for i in range(1, m):
                 a = upower(1, i)
                 if a.is_zero():
@@ -240,8 +239,8 @@ def outer_expansion(spec: ODESpec, N: int) -> OuterExpansion:
         return table[m]
 
     for n in range(1, N + 1):
-        h_prev = LaurentPoly.part(spec.h_coeff_poly(n - 1))
-        q_n = LaurentPoly.zero()
+        h_prev = Laurent.part(spec.h_coeff_poly(n - 1))
+        q_n = Laurent.zero()
         for (j, k, l), c in spec.P.items():
             m = n - l
             if m < k + 1:  # y^(k+1) has eps-valuation k+1
@@ -374,7 +373,7 @@ def _g_polynomials(spec: ODESpec, N_G: int, alphas=None) -> list:
     return out
 
 
-def _solve_linear_order(p, sigma, G_poly: TaylorPoly, order, depth=16):
+def _solve_linear_order(p, sigma, G_poly: TaylorPoly, order, depth):
     poly = TaylorPoly.zero()
     terms = []
     for l, c in enumerate(G_poly.coeffs):
@@ -396,8 +395,7 @@ def inner_expansion(
     N: int,
     sigma: int,
     alphas: Optional[Sequence] = None,
-    depth: int = 16,
-    X_far: Optional[float] = None,
+    depth: int = TAIL_DEPTH,
 ) -> InnerExpansion:
     """Inner coefficients W_n of y for eta-orders n < N, solved order by
     order from the stretched equation.
@@ -433,7 +431,7 @@ def inner_expansion(
         return InnerExpansion(p=p, r=r, sigma=sigma, coeffs=tuple(coeffs))
 
     if spec.reduced_inner_nonlinear:
-        y0 = _reduced_nonlinear_leading(spec, sigma, X_far=X_far, depth=depth)
+        y0 = _reduced_nonlinear_leading(spec, sigma, depth)
         coeffs[r] = y0
         if n_orders > 1:
             raise UnsupportedExpansionError(
@@ -445,8 +443,6 @@ def inner_expansion(
     # strictly quasi-homogeneous nonlinear: each order is a linear flow
     # solve with forcing assembled from products of earlier orders
     solved: list = []
-    if X_far is None:
-        X_far = 8.0 if p == 2 else 6.0
     for m in range(n_orders):
         g_poly = G_polys[m]
         extra_terms = []  # (coef, X-power j, list of factor orders)
@@ -481,7 +477,7 @@ def inner_expansion(
             for f in fl:
                 term = term * f.formal
             v_formal = v_formal + term
-        ray = apply_j(p, sigma, v_fn, v_series=v_formal, X_far=X_far, depth=depth)
+        ray = apply_j(p, sigma, v_fn, v_series=v_formal, depth=depth)
         solved.append(
             InnerCoeff(order=r + m, sigma=sigma,
                        poly=TaylorPoly.part(ray.tail).to_float(),
@@ -500,15 +496,13 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def _reduced_nonlinear_leading(spec: ODESpec, sigma: int, X_far=None,
-                               depth=16) -> InnerCoeff:
+def _reduced_nonlinear_leading(spec: ODESpec, sigma: int,
+                               depth: int) -> InnerCoeff:
     """Leading inner coefficient for a nonlinear reduced equation
     Y' = p X^(p-1) Y + c X^(r-1) + sum q_{jk} X^j Y^(k+1), integrated
     inward from its decaying tail; blowup before the origin is reported
     with its location."""
     p, r = spec.p, spec.r
-    if X_far is None:
-        X_far = 6.0 if p > 2 else 8.0
     c = spec.h.get((r - 1, 0), 0)
     qterms = [
         ((j, k), cc) for (j, k, l), cc in spec.P.items()
@@ -534,7 +528,7 @@ def _reduced_nonlinear_leading(spec: ODESpec, sigma: int, X_far=None,
             v = v + term
         u = tail_of_j_series(p, v, depth)
 
-    x0 = sigma * X_far
+    x0 = sigma * _x_far(p)
     tr = ode_solve(rhs, (x0, 0.0), float(u(x0)), tol=1e-10, cap=1e6)
     if tr.blowup:
         raise BlowupError(
@@ -561,7 +555,7 @@ def combined_from_matching(
     regular parts of the outer coefficients, fast parts the decaying parts
     of the inner coefficients, and the rejected pieces of each must agree
     under the matching identity (checked, tolerance ``tol``; exact specs
-    compare exactly).  Fast tails are kept to 16 terms, or to the largest
+    compare exactly).  Fast tails keep ``TAIL_DEPTH`` terms, or the largest
     pole order of the checked outer coefficients when that is larger."""
     n_eps = max(1, (N - 1) // spec.p)
     outer = outer_expansion(spec, n_eps)
@@ -570,16 +564,16 @@ def combined_from_matching(
         raise InfeasibleError(feas.message, n=feas.witness, pole=feas.pole,
                               bound=feas.bound)
     p = spec.p
-    outer_n = [LaurentPoly.zero()] * N  # v_n sits at eta-order p*n
+    outer_n = [Laurent.zero()] * N  # v_n sits at eta-order p*n
     for n, v in enumerate(outer.orders):
         if 0 < p * n < N:
             outer_n[p * n] = v
-    depth = max([16] + [v.pole_order for v in outer_n])
+    depth = max([TAIL_DEPTH] + [v.pole_order for v in outer_n])
     inner = inner_expansion(spec, N, sigma, depth=depth)
     zero = (TaylorPoly.zero(), AsymTail.zero())
     check_matching(outer_n, [zero if w is None else (w.poly, w.tail)
                              for w in inner.coeffs], tol)
-    return CombinedSeries(p, N, [v.regular_part() for v in outer_n],
+    return CombinedSeries(p, N, [TaylorPoly.part(v) for v in outer_n],
                           [FastFn.zero() if w is None else w.fast_part()
                            for w in inner.coeffs])
 

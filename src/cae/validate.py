@@ -21,6 +21,8 @@ from .series import CombinedSeries, TaylorPoly, evaluate_partial_sum
 from .special import EXP_CAP, ExponentCapError
 
 _NOISE_FLOOR = 1e-11  # relative size below which every table error is noise
+_SLOPE_SLACK = 0.3  # how far below N a passing table's slope may fall
+_EXP_FIT_RESIDUAL = 0.25  # largest rms log-residual of an exponential fit, per std
 
 
 # ---------------------------------------------------------------------------
@@ -152,10 +154,10 @@ class ErrorTable:
     intercept: Optional[float]
     degenerate: bool
 
-    def passes(self, slack: float = 0.3) -> bool:
+    def passes(self) -> bool:
         if self.degenerate:
             return True
-        return self.slope is not None and self.slope >= self.N - slack
+        return self.slope is not None and self.slope >= self.N - _SLOPE_SLACK
 
 
 def check_grid(x_grid: Sequence[float], sigma: int):
@@ -235,8 +237,7 @@ class ExpFit:
     exponential: bool  # False means "not exponentially small"
 
 
-def exp_smallness_fit(values: Sequence, p: int,
-                      residual_threshold: float = 0.25) -> ExpFit:
+def exp_smallness_fit(values: Sequence, p: int) -> ExpFit:
     """Fit |d| = C exp(-A / eta**p) through (eta, |d|) pairs by least
     squares of log|d| against eta**-p.  A fitted A <= 0 (or a bad fit)
     reports the data as not exponentially small."""
@@ -251,5 +252,5 @@ def exp_smallness_fit(values: Sequence, p: int,
     A = -float(coef[0])
     C = math.exp(float(coef[1]))
     resid = float(np.sqrt(np.mean((np.polyval(coef, xs) - ys) ** 2)))
-    ok = A > 0 and resid <= residual_threshold * max(1.0, float(np.std(ys)))
+    ok = A > 0 and resid <= _EXP_FIT_RESIDUAL * max(1.0, float(np.std(ys)))
     return ExpFit(A=A, C=C, residual=resid, exponential=ok)

@@ -16,7 +16,7 @@ from cae.series import (
     BasisTerm,
     CombinedSeries,
     FastFn,
-    LaurentPoly,
+    Laurent,
     TaylorPoly,
     antiderivative,
     compose_left,
@@ -366,7 +366,7 @@ class TestExtract:
     def test_outer_order_zero(self):
         y = CombinedSeries(2, 2, slow=[TaylorPoly([3, 1])])
         c0 = extract_outer(y, 0)
-        assert c0 == LaurentPoly.part(TaylorPoly([3, 1]))
+        assert c0 == Laurent.part(TaylorPoly([3, 1]))
 
     def test_outer_example1(self):
         # oracle: the outer recursion gives y_1(x) = -g(x)/(2x) for g = x+1,
@@ -375,7 +375,7 @@ class TestExtract:
         c2 = extract_outer(y, 2)
         assert c2.coefficient(0) == Fraction(-1, 2)
         assert c2.coefficient(-1) == Fraction(-1, 2)
-        ora = LaurentPoly([Fraction(-1, 2), Fraction(-1, 2)], -1)
+        ora = Laurent([Fraction(-1, 2), Fraction(-1, 2)], -1)
         assert c2 == ora
         # odd eta-order outer coefficients vanish
         assert extract_outer(y, 1).is_zero()
@@ -439,7 +439,7 @@ class TestReconstruct:
             self._round_trip(random_series(rng, exact=False), tol=1e-9)
 
     def test_pole_violation(self):
-        outer = [LaurentPoly.zero(), LaurentPoly([1], -3)]
+        outer = [Laurent.zero(), Laurent([1], -3)]
         inner = [(TaylorPoly.zero(), AsymTail([0] * 6)),
                  (TaylorPoly.zero(), AsymTail([0] * 6))]
         with pytest.raises(InfeasibleError) as exc:
@@ -464,7 +464,7 @@ class TestReconstruct:
     def test_outer_slow_part_needs_inner_polynomial(self):
         # the outer coefficient 5x at order 0 must reappear as 5X in the
         # inner polynomial at order 1, which is zero here
-        outer = [LaurentPoly([0, 5]), LaurentPoly.zero()]
+        outer = [Laurent([0, 5]), Laurent.zero()]
         inner = [(TaylorPoly.zero(), AsymTail((), complete=True))] * 2
         with pytest.raises(CompatibilityError) as exc:
             reconstruct_from_matching(outer, inner, 2, tol=0)
@@ -474,7 +474,7 @@ class TestReconstruct:
         # the pole part x^-2 + 0 x^-1 at order 2 needs g_{1,1}, which a
         # tail of depth 0 does not know; the zero pole coefficient must not
         # count as matched
-        outer = [LaurentPoly.zero(), LaurentPoly.zero(), LaurentPoly([1], -2)]
+        outer = [Laurent.zero(), Laurent.zero(), Laurent([1], -2)]
         inner = [(TaylorPoly.zero(), AsymTail([0, 1])),
                  (TaylorPoly.zero(), AsymTail(())),
                  (TaylorPoly.zero(), AsymTail.zero())]

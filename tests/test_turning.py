@@ -14,7 +14,6 @@ from scipy import integrate
 from cae.errors import BlowupError, CaeError, InfeasibleError, SeriesError
 from cae.series import (
     Laurent,
-    LaurentPoly,
     TaylorPoly,
     evaluate_partial_sum,
 )
@@ -66,14 +65,14 @@ class TestOuterExpansion:
     def test_example1_first_order(self):
         out = outer_expansion(EX1, 3)
         # v_1 = -(x+1)/(2x)
-        assert out.orders[1] == LaurentPoly([Fraction(-1, 2), Fraction(-1, 2)], -1)
+        assert out.orders[1] == Laurent([Fraction(-1, 2), Fraction(-1, 2)], -1)
         assert out.orders[1].pole_order == 1
 
     def test_e1_first_orders(self):
         out = outer_expansion(E1, 5)
-        assert out.orders[1] == LaurentPoly([1], -3)  # 1/x^3
+        assert out.orders[1] == Laurent([1], -3)  # 1/x^3
         # v_2 = (1 - 3x)/(4 x^8)
-        assert out.orders[2] == LaurentPoly([Fraction(1, 4), Fraction(-3, 4)], -8)
+        assert out.orders[2] == Laurent([Fraction(1, 4), Fraction(-3, 4)], -8)
 
     def test_e1_pole_growth_and_leading_coefficients(self):
         out = outer_expansion(E1, 6)
@@ -98,17 +97,17 @@ class TestOuterExpansion:
             pows = {1: ysum}
             def upow(k, m):
                 if k == 1:
-                    return pows[1].get(m, LaurentPoly.zero())
+                    return pows[1].get(m, Laurent.zero())
                 tab = pows.setdefault(k, {})
                 if m not in tab:
-                    acc = LaurentPoly.zero()
+                    acc = Laurent.zero()
                     for i in range(1, m):
                         acc = acc + upow(1, i) * upow(k - 1, m - i)
                     tab[m] = acc
                 return tab[m]
             for n in range(1, N + 1):
-                rhs = LaurentPoly([spec.p]).shift(p - 1) * ysum[n]
-                rhs = rhs + LaurentPoly.part(spec.h_coeff_poly(n - 1))
+                rhs = Laurent([spec.p]).shift(p - 1) * ysum[n]
+                rhs = rhs + Laurent.part(spec.h_coeff_poly(n - 1))
                 for (j, k, l), c in spec.P.items():
                     m = n - l
                     if m >= k + 1:
