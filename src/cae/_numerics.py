@@ -14,6 +14,7 @@ after a tracer or a test replaces the function on the scipy module.
 """
 
 import importlib
+import math
 import warnings
 
 from .errors import SeriesError
@@ -34,15 +35,16 @@ def __getattr__(name: str):
 
 def quad(f, a: float, b: float) -> float:
     """integral_a^b f by QUADPACK (either end may be infinite), checked on
-    its own error estimate: above 1e-9 * max(1, |value|) it raises
-    SeriesError.  QUADPACK's roundoff notice is demoted to that check
-    (steep relief shoulders trip the notice while the estimate stays far
-    below any tolerance used here)."""
+    its own error estimate: a non-finite value, or an estimate that is NaN
+    or above 1e-9 * max(1, |value|), raises SeriesError.  QUADPACK's
+    roundoff notice is demoted to that check (steep relief shoulders trip
+    the notice while the estimate stays far below any tolerance used here)."""
     # a bare name in this module does not reach __getattr__, so ask it
     integrate = __getattr__("integrate")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         val, err = integrate.quad(f, a, b, **_QUAD_OPTS)
-    if err > 1e-9 * max(1.0, abs(val)):
-        raise SeriesError(f"quadrature failed to converge (est. error {err:.2e})")
+    if not (math.isfinite(val) and err <= 1e-9 * max(1.0, abs(val))):
+        raise SeriesError(f"quadrature failed to converge (value {val:.6g}, "
+                          f"est. error {err:.2e})")
     return val

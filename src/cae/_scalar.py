@@ -7,7 +7,10 @@ operation, ``float`` coefficients run in ordinary double precision.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+
+from .errors import SeriesError
 
 
 def is_exact(x) -> bool:
@@ -26,12 +29,18 @@ def scalar_to_json(x):
 
 
 def scalar_from_json(v):
-    if isinstance(v, str):
-        num, _, den = v.partition("/")
-        return Fraction(int(num), int(den) if den else 1)
-    if isinstance(v, int):
+    """An int, a finite float or a "num/den" string with integer parts and a
+    nonzero denominator; anything else, a bool too, raises SeriesError."""
+    t = type(v)  # type tests, not isinstance: a bool is an int
+    if t is int or t is float and math.isfinite(v):
         return v
-    return float(v)
+    if t is str:
+        num, _, den = v.partition("/")
+        try:
+            return Fraction(int(num), int(den) if den else 1)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise SeriesError(f"not a series scalar: {v!r}")
 
 
 def fmt17(x: float) -> str:

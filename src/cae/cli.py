@@ -192,11 +192,14 @@ def _cmd_gevrey(args) -> int:
         raise CaeError(f"unknown gevrey action {args.action!r}")
     with open(args.coeffs) as fh:
         norms = []
-        for line in fh:
+        for i, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            norms.append(abs(float(line.split(",")[0])))
+            try:
+                norms.append(abs(float(line.split(",")[0])))
+            except ValueError:
+                raise CaeError(f"{args.coeffs} line {i}: not a number: {line!r}") from None
     fit = gevrey_fit(norms, args.p)
     doc = {
         "inv_order": fit.inv_order,
@@ -232,6 +235,8 @@ def _cmd_canard(args) -> int:
             "residuals": {"root_tol": args.tol},
         }
     elif args.problem == "criterion":
+        if args.spec is None:
+            raise CaeError("canard criterion needs --spec")
         spec = _load_spec(args.spec)
         alphas = canard_control_series(spec, args.order)
         doc = {"alphas": alphas, "grading": "eta", "p": spec.p}

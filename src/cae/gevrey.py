@@ -45,9 +45,11 @@ def gevrey_fit(norms: Sequence[float], p: int) -> GevreyFit:
     Gevrey-1/p; it is flagged ``sub_gevrey`` and the constants are then
     only an envelope, not a type.
     """
+    if p < 1:
+        raise SeriesError(f"p={p} must be at least 1")
     pts = [(n, float(v)) for n, v in enumerate(norms) if v != 0]
-    if any(v < 0 for _n, v in pts):
-        raise SeriesError("norms must be nonnegative")
+    if not all(0 <= v < math.inf for _n, v in pts):
+        raise SeriesError("norms must be finite and nonnegative")
     if not pts:
         return GevreyFit(1.0 / p, 0.0, 0.0, 0.0, degenerate=True)
     if len(pts) < 6:

@@ -14,6 +14,7 @@ solves the associated Riccati equation identically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -38,8 +39,8 @@ class ResonanceCase:
     p: int
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise SeriesError("alpha must be positive")
+        if not (self.alpha > 0 and math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise SeriesError(f"alpha must be finite and > 0, beta finite: {self.alpha!r}, {self.beta!r}")
         if self.p < 2 or self.p % 2:
             raise SeriesError(f"p={self.p} must be an even integer >= 2")
 

@@ -656,6 +656,8 @@ class CombinedSeries:
     def __init__(self, p: int, N: int, slow=None, fast=None):
         if p < 1:
             raise SeriesError("root power p must be >= 1")
+        if N < 0:
+            raise SeriesError(f"truncation order {N} is negative")
         slow = list(slow) if slow is not None else []
         fast = list(fast) if fast is not None else []
         slow += [TaylorPoly.zero()] * (N - len(slow))

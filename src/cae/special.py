@@ -84,6 +84,8 @@ def u_tail(p: int, k: int, depth: int = TAIL_DEPTH) -> AsymTail:
     if key not in _U_TAIL_CACHE:
         if not 1 <= k <= p - 1:
             raise SeriesError(f"k={k} outside 1..{p - 1}")
+        if depth < 0:
+            raise SeriesError(f"tail depth {depth} is negative")
         _U_TAIL_CACHE[key] = AsymTail.part(tail_of_j_series(p, Laurent([1], k - 1), depth))
     return _U_TAIL_CACHE[key]
 

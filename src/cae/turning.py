@@ -169,22 +169,35 @@ class ODESpec:
 
     @staticmethod
     def from_json(doc) -> "ODESpec":
-        h = {(e["j"], e["l"]): scalar_from_json(e["c"]) for e in doc.get("h", [])}
-        P = {
-            (e["j"], e["k"], e["l"]): scalar_from_json(e["c"])
-            for e in doc.get("P", [])
-        }
+        """The spec a JSON document describes; other shapes raise SeriesError."""
+        if type(doc) is not dict:
+            raise SeriesError("a spec is a JSON object")
         extra = set(doc) - {"p", "f", "h", "P", "r", "control"}
         if extra:
             raise SeriesError(f"unknown spec fields: {sorted(extra)}")
+        # type tests, not isinstance: a bool is an int
+        if type(doc.get("p")) is not int or type(doc.get("r") or 0) is not int:
+            raise SeriesError(f"spec fields p and r must be integers, got "
+                              f"p={doc.get('p')!r}, r={doc.get('r')!r}")
         return ODESpec(
             p=doc["p"],
-            h=h,
-            P=P,
+            h=_spec_terms(doc, "h", ("j", "l")),
+            P=_spec_terms(doc, "P", ("j", "k", "l")),
             r=doc.get("r"),
             control=doc.get("control", False),
             f=tuple(doc["f"]) if doc.get("f") else None,
         )
+
+
+def _spec_terms(doc: dict, name: str, idx: tuple) -> dict:
+    """{indices: coefficient} of the h or P list of a spec document."""
+    terms = doc.get(name, [])
+    if type(terms) is not list or not all(
+            type(e) is dict and "c" in e and all(type(e.get(n)) is int for n in idx)
+            for e in terms):
+        raise SeriesError(f"spec field {name} must list objects with integer "
+                          f"{', '.join(idx)} and a coefficient c")
+    return {tuple(e[n] for n in idx): scalar_from_json(e["c"]) for e in terms}
 
 
 # ---------------------------------------------------------------------------

@@ -191,7 +191,8 @@ def error_scaling(
 
     eps values must be strictly decreasing, at least three, and span a
     factor >= 4; the x-grid must not be empty.  A table whose errors all
-    sit below ``_NOISE_FLOOR`` times the largest truth is degenerate.
+    sit below ``_NOISE_FLOOR`` times the largest truth is degenerate.  A
+    non-finite truth or partial-sum value raises SeriesError.
     """
     if len(x_grid) == 0:
         raise SeriesError("empty x-grid: a sup-norm error needs at least one point")
@@ -210,8 +211,12 @@ def error_scaling(
         worst = 0.0
         for x in x_grid:
             t = float(truth(x, eps))
+            s = evaluate_partial_sum(series, x, eta, N)
+            if not (math.isfinite(t) and math.isfinite(s)):
+                raise SeriesError(f"non-finite value at x={float(x)!r}, eps={eps!r}: "
+                                  f"truth {t}, partial sum {s}")
             scale = max(scale, abs(t))
-            worst = max(worst, abs(evaluate_partial_sum(series, x, eta, N) - t))
+            worst = max(worst, abs(s - t))
         rows.append((eps, worst))
 
     floor = _NOISE_FLOOR * scale

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 
 import pytest
 
@@ -13,6 +14,12 @@ E1 = {"p": 4, "h": [{"j": 0, "l": 0, "c": -4}],
       "P": [{"j": 1, "k": 1, "l": 0, "c": -1}], "r": 1}
 NL = {"p": 2, "h": [{"j": 0, "l": 0, "c": 1.0}],  # strictly quasi-homogeneous
       "P": [{"j": 1, "k": 1, "l": 0, "c": -0.5}]}
+EXPAND = ["expand", "--order", "4"]
+
+
+def _h_spec(c):
+    """A p = 2 spec whose one h entry has the coefficient ``c``."""
+    return {"p": 2, "h": [{"j": 0, "l": 0, "c": c}]}
 
 
 def write_spec(tmp_path, doc, name="spec.json"):
@@ -97,6 +104,53 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert rc == 1
         assert out == "" and err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv, text, match", [
+        pytest.param(argv + ["--spec", "{file}"], json.dumps(doc), match, id=name)
+        for name, argv, doc, match in (
+            ("spec-missing-c", EXPAND, {"p": 2, "h": [{"j": 0, "l": 0}]},
+             "integer j, l and a coefficient c"),
+            ("spec-zero-denominator", EXPAND, _h_spec("1/0"), "'1/0'"),
+            ("spec-not-a-number", EXPAND, _h_spec("x"), "'x'"),
+            ("spec-list", EXPAND, [EX1], "a JSON object"),
+            ("spec-float-p", EXPAND, dict(EX1, p=2.0), "p and r must be integers"),
+            ("spec-float-index", EXPAND,
+             {"p": 2, "h": [{"j": 0.5, "l": 0, "c": 1}]}, "integer j, l"),
+            ("spec-bool-c", EXPAND, _h_spec(True), "True"),
+            ("spec-nan-c-expand", EXPAND, _h_spec(math.nan), "nan"),
+            ("spec-nan-c-validate", ["validate", "--orders", "1,2",
+                                     "--eps", "0.04,0.02,0.01", "--xgrid=-1:0:5"],
+             _h_spec(math.nan), "nan"),
+        )
+    ] + [
+        pytest.param(["gevrey", "fit", "--coeffs", "{file}", "--p", "2"],
+                     "1.0\n2.5\nabc\n", "line 3", id="gevrey-not-a-number"),
+        pytest.param(["gevrey", "fit", "--coeffs", "{file}", "--p", "2"],
+                     "1\n2\nnan\n4\n5\n6\n7\n", "finite", id="gevrey-nan-norm"),
+        pytest.param(["gevrey", "fit", "--coeffs", "{file}", "--p", "0"],
+                     "1\n2\n3\n4\n5\n6\n", "p=0", id="gevrey-p0"),
+        pytest.param(["canard", "criterion"], None, "--spec", id="criterion-no-spec"),
+    ] + [
+        pytest.param(["resonance", "--alpha", a, "--beta", b, "--p", "2"], None,
+                     "finite", id=f"resonance-{a}-{b}")
+        for a, b in (("1", "nan"), ("1", "inf"), ("inf", "2"))
+    ] + [
+        pytest.param(["special", "U", "--p", "2", "--x", "-3", "--depth", "-3"],
+                     None, "depth", id="special-negative-depth"),
+        pytest.param(["expand", "--order", "-2", "--spec", "{file}"],
+                     json.dumps(EX1), "order -2 is negative", id="expand-negative-order"),
+    ])
+    def test_bad_input_exits_1(self, argv, text, match, tmp_path, capsys):
+        """Input from outside that no command can use is refused with
+        ``error: ...`` and exit 1: no traceback, no output."""
+        if text is not None:
+            path = tmp_path / "input"
+            path.write_text(text)
+            argv = [str(path) if a == "{file}" else a for a in argv]
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        assert (rc, out) == (1, "")
+        assert err.startswith("error: ") and match in err, err
 
     @pytest.mark.parametrize("orders", ["-1", "2,-1"])
     def test_validate_negative_order_exits_1(self, orders, tmp_path, capsys):

@@ -9,6 +9,7 @@ quadrature checks the error estimate it gets back.
 
 import collections
 import json
+import math
 import os
 import subprocess
 import sys
@@ -112,12 +113,24 @@ def test_reduced_nonlinear_leading_calls_solve_ivp_once(scipy_calls):
     assert scipy_calls == {"solve_ivp": 1}
 
 
-@pytest.mark.parametrize("site", ["truth", "borel_laplace", "antiderivative"])
-def test_quadrature_refuses_a_large_error_estimate(monkeypatch, site):
-    """Every quadrature checks QUADPACK's error estimate: a value of 1 with
-    an estimated error of 1 is refused, not returned."""
-    monkeypatch.setattr(integrate, "quad", lambda *a, **k: (1.0, 1.0))
-    with pytest.raises(SeriesError, match=r"est\. error 1\.00e\+00"):
+_QUAD_RESULTS = {  # id suffix: (what quad returns, the refusal it causes)
+    "": ((1.0, 1.0), r"est\. error 1\.00e\+00"),
+    "-nan-nan": ((math.nan, math.nan), r"value nan, est\. error nan"),
+    "-nan-0": ((math.nan, 0.0), r"value nan, est\. error 0\.00e\+00"),
+}
+
+
+@pytest.mark.parametrize("site, result, match", [
+    pytest.param(site, result, match, id=site + suffix)
+    for suffix, (result, match) in _QUAD_RESULTS.items()
+    for site in ("truth", "borel_laplace", "antiderivative")])
+def test_quadrature_refuses_a_large_error_estimate(monkeypatch, site, result,
+                                                   match):
+    """Every quadrature checks QUADPACK's value and error estimate: a value
+    of 1 with an estimated error of 1 is refused, not returned, and so is
+    a NaN value, whatever its estimate."""
+    monkeypatch.setattr(integrate, "quad", lambda *a, **k: result)
+    with pytest.raises(SeriesError, match=match):
         if site == "truth":
             bounded_solution_quadrature(TaylorPoly([0, 0, 1]),
                                         lambda t: 1.0 + t, 0.01, -0.5, -1)

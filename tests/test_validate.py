@@ -167,6 +167,23 @@ class TestErrorScaling:
         for N in (2, 3, 4):
             assert slopes[N + 1] >= slopes[N] - 0.1
 
+    @pytest.mark.parametrize("bad", ["truth", "partial_sum"])
+    def test_non_finite_value_refused(self, bad):
+        # max() keeps the old value against a NaN, so a NaN read as an
+        # error would give rows of 0 and a degenerate table that passes
+        good = closed_form_series(TaylorPoly([1, 1]), 4)
+        series = good.scale(math.nan) if bad == "partial_sum" else good
+
+        def truth(x, eps):
+            if bad == "truth" and x == X_GRID[5] and eps == EPS_GRID[2]:
+                return math.nan
+            return evaluate_partial_sum(good, x, math.sqrt(eps), 4)
+
+        match = (r"x=-0\.84375, eps=0\.025: truth nan, partial sum \S" if bad == "truth"
+                 else r"x=-1\.0, eps=0\.1: truth \S+, partial sum nan")
+        with pytest.raises(SeriesError, match="non-finite value at " + match):
+            error_scaling(series, truth, EPS_GRID, X_GRID, 4)
+
     def test_grid_validation(self):
         series = closed_form_series(TaylorPoly([1, 1]), 4)
         truth = _truth_factory(lambda t: t + 1.0)
