@@ -506,6 +506,50 @@ class TestClosedForm:
                 approx = evaluate_partial_sum(cf, x, eta, 6)
                 assert abs(truth(x, eps) - approx) < 1e-12
 
+    G_PIN = TaylorPoly([1, Fraction(1, 2), Fraction(-3, 10), Fraction(1, 7)])
+    IC_PIN = [Fraction(2, 5), Fraction(1, 3), Fraction(-1, 5), 0, Fraction(3, 4)]
+    D, H = Fraction(1, 2), Fraction(1, 4)  # leading dawson / U^- tail terms
+    # per order: slow coefficients, fast tail, basis (kind, coef, poly)
+    PINNED = {
+        "attracting": [
+            ((), (), ()),
+            ((), (-D, 0, H, 0, Fraction(-3, 8), 0, Fraction(15, 16), 0,
+                  Fraction(-105, 32), 0, Fraction(945, 64), 0), (("u", 1, None),)),
+            ((-H, Fraction(3, 20), Fraction(-1, 14)), (), ()),
+            ((), (Fraction(3, 40), 0, Fraction(-3, 80), 0, Fraction(9, 160), 0,
+                  Fraction(-9, 64), 0, Fraction(63, 128), 0, Fraction(-567, 256), 0),
+             (("u", Fraction(-3, 20), None),)),
+            ((Fraction(-1, 14),), (), ()),
+        ],
+        "repelling_ic": [
+            ((), (0,) * 12, (("exp_poly", 1, (Fraction(2, 5),)),)),
+            ((), (D, 0, H, 0, Fraction(3, 8), 0, Fraction(15, 16), 0,
+                  Fraction(105, 32), 0, Fraction(945, 64), 0),
+             (("dawson", 1, None), ("exp_poly", 1, (Fraction(1, 3),)))),
+            ((H, Fraction(-3, 20), Fraction(1, 14)), (0,) * 12,
+             (("exp_poly", 1, (Fraction(-9, 20),)),)),
+            ((), (Fraction(3, 40), 0, Fraction(3, 80), 0, Fraction(9, 160), 0,
+                  Fraction(9, 64), 0, Fraction(63, 128), 0, Fraction(567, 256), 0),
+             (("dawson", Fraction(3, 20), None),)),
+            ((Fraction(-1, 14),), (0,) * 12, (("exp_poly", 1, (Fraction(23, 28),)),)),
+        ],
+    }
+
+    @pytest.mark.parametrize("kind", ["attracting", "repelling_ic"])
+    def test_exact_orders_pinned(self, kind):
+        # every order of an exact cubic forcing, as Fractions; orders 5-7
+        # vanish because the iterates of a cubic die out
+        cf = closed_form_series(self.G_PIN, 8, kind=kind, ic=self.IC_PIN)
+        got = []
+        for n in range(8):
+            f = cf.fast[n]
+            got.append((cf.slow[n].coeffs, f.tail.coeffs, tuple(
+                (t.kind, t.coef, None if t.poly is None else t.poly.coeffs)
+                for t in f.basis)))
+        assert got == self.PINNED[kind] + [((), (), ())] * 3
+        numbers = [c for s, t, b in got for c in s + t + tuple(x[1] for x in b)]
+        assert all(isinstance(c, (int, Fraction)) for c in numbers)
+
     def test_repelling_variant_layer_serialization(self):
         # dawson and flat-exp basis terms survive the JSON round trip
         from cae.series import CombinedSeries
