@@ -272,8 +272,8 @@ def canard_control_series(spec: ODESpec, N: int) -> list:
         integral_R exp(-s**p) (G_n(s) + alpha_n) ds = 0,
 
     solved for alpha_n.  Supported for the y-linear control family; the
-    moment of the control slot is a positive Gamma value, so the linear
-    solve cannot degenerate there (guarded anyway).
+    moment of the control slot is (2/p) Gamma(1/p) > 0, so the linear
+    solve cannot degenerate.
     """
     if not spec.control:
         raise SeriesError("spec has no control slot")
@@ -284,8 +284,6 @@ def canard_control_series(spec: ODESpec, N: int) -> list:
         )
     p = spec.p
     m0 = gauss_moment(p, 0, 1.0)
-    if not m0 > 0:
-        raise SeriesError("degenerate control moment")
     g_polys = _g_polynomials(spec, N, alphas=None)
     alphas = []
     for n in range(N):

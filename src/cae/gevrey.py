@@ -58,7 +58,7 @@ def gevrey_fit(norms: Sequence[float], p: int) -> GevreyFit:
     ys = np.array([math.log(v) - _gamma_weight_log(n, p) for n, v in pts])
     slope, intercept = np.polyfit(xs, ys, 1)
     resid = float(np.sqrt(np.mean((np.polyval([slope, intercept], xs) - ys) ** 2)))
-    c2 = float(np.polyfit(xs, ys, 2)[0]) if len(pts) >= 3 else 0.0
+    c2 = float(np.polyfit(xs, ys, 2)[0])
     return GevreyFit(
         inv_order=1.0 / p,
         C=math.exp(float(intercept)),

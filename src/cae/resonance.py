@@ -67,7 +67,9 @@ def z0_polynomial(case: ResonanceCase) -> TaylorPoly:
     """Monic degree-D polynomial solution of
     Z'' - alpha X**(p-1) Z' + beta X**(p-2) Z = 0, built by the downward
     coefficient recursion z_m m (m-1) = alpha (m - p - D) z_{m-p} from
-    z_D = 1; exact over rationals.  The parity matches D."""
+    z_D = 1; exact over rationals.  The parity matches D.  The divisor is
+    never 0 (alpha > 0, m <= D), and the recursion ends at index D mod p,
+    which the resonance condition makes 0 or 1."""
     if not condition_check(case):
         raise SeriesError(
             "resonance condition fails: the coefficient recursion does not "
@@ -83,13 +85,8 @@ def z0_polynomial(case: ResonanceCase) -> TaylorPoly:
     while m - p >= 0:
         denom = alpha * (m - p - D)
         num = coeffs[m] * m * (m - 1)
-        if denom == 0:
-            raise SeriesError("degenerate recursion step")
         coeffs[m - p] = Fraction(num, denom) if exact and is_exact(num) else num / denom
         m -= p
-    # termination sanity: the lowest reached index must be 0 or 1
-    if m not in (0, 1):
-        raise SeriesError("recursion terminated off the polynomial lattice")
     return TaylorPoly(coeffs)
 
 

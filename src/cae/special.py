@@ -182,11 +182,10 @@ class RayFn:
     """Evaluable function on (part of) a half-line.
 
     ``fn``/``dfn`` evaluate the function and its derivative on ``domain``,
-    elementwise on arrays; ``tail`` is the formal expansion at
-    sigma * infinity.
+    elementwise on arrays; ``tail`` is the formal expansion at the far
+    end of the half-line.
     """
 
-    sigma: int
     fn: Callable
     domain: tuple
     tail: Optional[Laurent] = None
@@ -286,7 +285,6 @@ def apply_j(
     # ascending knots
     spline = _numerics.interpolate.CubicSpline(xs[::-sigma], us[::-sigma])
     return RayFn(
-        sigma=sigma,
         fn=spline,
         dfn=spline.derivative(),
         domain=(min(xs[0], xs[-1]), max(xs[0], xs[-1])),

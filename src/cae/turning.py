@@ -67,18 +67,10 @@ class ODESpec:
     P: dict = field(default_factory=dict)
     r: Optional[int] = None
     control: bool = False
-    f: Optional[tuple] = None
 
     def __post_init__(self):
         if self.p < 2 or self.p % 2:
             raise SeriesError(f"p={self.p} must be an even integer >= 2")
-        if self.f is not None:
-            expect = (0,) * (self.p - 1) + (self.p,)
-            if tuple(self.f) != expect:
-                raise SeriesError(
-                    "f must be the normalized p*x^(p-1); pre-normalize the "
-                    "equation before building a spec"
-                )
         h = {k: v for k, v in self.h.items() if v != 0}
         P = {k: v for k, v in self.P.items() if v != 0}
         for (j, l) in h:
@@ -179,13 +171,15 @@ class ODESpec:
         if type(doc.get("p")) is not int or type(doc.get("r") or 0) is not int:
             raise SeriesError(f"spec fields p and r must be integers, got "
                               f"p={doc.get('p')!r}, r={doc.get('r')!r}")
+        if doc.get("f") is not None and doc["f"] != [0] * (doc["p"] - 1) + [doc["p"]]:
+            raise SeriesError(f"f must be the normalized p*x^(p-1), got {doc['f']!r}; "
+                              "pre-normalize the equation before building a spec")
         return ODESpec(
             p=doc["p"],
             h=_spec_terms(doc, "h", ("j", "l")),
             P=_spec_terms(doc, "P", ("j", "k", "l")),
             r=doc.get("r"),
             control=doc.get("control", False),
-            f=tuple(doc["f"]) if doc.get("f") else None,
         )
 
 
@@ -317,14 +311,12 @@ def _j_monomial(p: int, sigma: int, l: int):
 @dataclass(frozen=True)
 class InnerCoeff:
     """One coefficient W_n(X) of the inner expansion of y (order eta**n):
-    a polynomial part, the decaying remainder's tail, a closed basis when
-    the order was solved in closed form, or a numeric ray function."""
+    a polynomial part, the decaying remainder's tail, and either a closed
+    basis (an order solved in closed form) or a numeric ray function."""
 
-    order: int
-    sigma: int
     poly: TaylorPoly
     tail: AsymTail
-    basis: Optional[tuple] = None
+    basis: tuple = ()
     ray: Optional[RayFn] = None
 
     @property
@@ -335,21 +327,14 @@ class InnerCoeff:
         """W_n(X), elementwise for an array X."""
         if self.ray is not None:
             return self.ray(X)
-        if self.basis is None:
-            raise SeriesError(f"inner order {self.order} has no evaluator")
         val = self.poly.to_float()(X) + sum(t(X) for t in self.basis)
         return float(val) if np.ndim(val) == 0 else val
 
     def fast_part(self) -> FastFn:
         """W_n minus its polynomial part, as an evaluable fast coefficient."""
-        if self.basis is not None:
-            if self.basis:
-                return FastFn(self.tail, self.basis)
-            return FastFn(self.tail, (), None, exact=self.tail.complete)
-        poly = self.poly
-        ray = self.ray
+        poly, ray = self.poly, self.ray
         if ray is None:
-            return FastFn(self.tail)
+            return FastFn(self.tail, self.basis, exact=not self.basis)
         return FastFn(self.tail, (), lambda X: ray(X) - float(poly(X)))
 
 
@@ -359,7 +344,6 @@ class InnerExpansion:
 
     p: int
     r: int
-    sigma: int
     coeffs: tuple  # entry n is InnerCoeff or None (zero order)
 
     def __len__(self):
@@ -386,7 +370,7 @@ def _g_polynomials(spec: ODESpec, N_G: int, alphas=None) -> list:
     return out
 
 
-def _solve_linear_order(p, sigma, G_poly: TaylorPoly, order, depth):
+def _solve_linear_order(p, sigma, G_poly: TaylorPoly, depth):
     poly = TaylorPoly.zero()
     terms = []
     for l, c in enumerate(G_poly.coeffs):
@@ -399,8 +383,7 @@ def _solve_linear_order(p, sigma, G_poly: TaylorPoly, order, depth):
     if not is_exact(sum(G_poly.coeffs, 0)):
         poly = poly.to_float()
         tail = tail.to_float()
-    return InnerCoeff(order=order, sigma=sigma, poly=poly, tail=tail,
-                      basis=tuple(terms))
+    return InnerCoeff(poly=poly, tail=tail, basis=tuple(terms))
 
 
 def inner_expansion(
@@ -434,14 +417,9 @@ def inner_expansion(
     n_orders = N - r  # number of Y_m to produce, m = 0..n_orders-1
     coeffs: list = [None] * N
     if n_orders <= 0:
-        return InnerExpansion(p=p, r=r, sigma=sigma, coeffs=tuple(coeffs))
+        return InnerExpansion(p=p, r=r, coeffs=tuple(coeffs))
 
     G_polys = _g_polynomials(spec, n_orders, alphas)
-
-    if spec.linear_in_y:
-        for m in range(n_orders):
-            coeffs[r + m] = _solve_linear_order(p, sigma, G_polys[m], r + m, depth)
-        return InnerExpansion(p=p, r=r, sigma=sigma, coeffs=tuple(coeffs))
 
     if spec.reduced_inner_nonlinear:
         y0 = _reduced_nonlinear_leading(spec, sigma, depth)
@@ -451,11 +429,11 @@ def inner_expansion(
                 "higher inner orders for a nonlinear reduced inner equation "
                 "are not generated; only the leading coefficient is solved"
             )
-        return InnerExpansion(p=p, r=r, sigma=sigma, coeffs=tuple(coeffs))
+        return InnerExpansion(p=p, r=r, coeffs=tuple(coeffs))
 
-    # strictly quasi-homogeneous nonlinear: each order is a linear flow
-    # solve with forcing assembled from products of earlier orders
-    solved: list = []
+    # each order is a linear flow solve; for nonlinear specs its forcing
+    # adds products of earlier orders.  Off the reduced line every P entry
+    # has j + r*k + p*l >= p, so e >= 1 and each factor order is below m.
     for m in range(n_orders):
         g_poly = G_polys[m]
         extra_terms = []  # (coef, X-power j, list of factor orders)
@@ -466,14 +444,11 @@ def inner_expansion(
                 continue
             # [eta^mm] Y^(k+1), compositions of mm into k+1 parts >= 0
             for combo in _compositions(mm, k + 1):
-                if any(i >= len(solved) for i in combo):
-                    continue
                 extra_terms.append((c, j, combo))
         if not extra_terms:
-            solved.append(_solve_linear_order(p, sigma, g_poly, r + m, depth))
-            coeffs[r + m] = solved[-1]
+            coeffs[r + m] = _solve_linear_order(p, sigma, g_poly, depth)
             continue
-        factors = [[solved[i] for i in combo] for (_, _, combo) in extra_terms]
+        factors = [[coeffs[r + i] for i in combo] for (_, _, combo) in extra_terms]
 
         def v_fn(X, g_poly=g_poly.to_float(), extra=extra_terms, facs=factors):
             val = g_poly(X)
@@ -491,13 +466,9 @@ def inner_expansion(
                 term = term * f.formal
             v_formal = v_formal + term
         ray = apply_j(p, sigma, v_fn, v_series=v_formal, depth=depth)
-        solved.append(
-            InnerCoeff(order=r + m, sigma=sigma,
-                       poly=TaylorPoly.part(ray.tail).to_float(),
-                       tail=AsymTail.part(ray.tail).to_float(), ray=ray)
-        )
-        coeffs[r + m] = solved[-1]
-    return InnerExpansion(p=p, r=r, sigma=sigma, coeffs=tuple(coeffs))
+        coeffs[r + m] = InnerCoeff(poly=TaylorPoly.part(ray.tail).to_float(),
+                                   tail=AsymTail.part(ray.tail).to_float(), ray=ray)
+    return InnerExpansion(p=p, r=r, coeffs=tuple(coeffs))
 
 
 def _compositions(total: int, parts: int):
@@ -548,9 +519,9 @@ def _reduced_nonlinear_leading(spec: ODESpec, sigma: int,
             f"reduced inner solution blows up at X={tr.t_blow:.6g} before the origin",
             where=tr.t_blow,
         )
-    ray = RayFn(sigma=sigma, fn=lambda X: tr.dense(X)[0],
+    ray = RayFn(fn=lambda X: tr.dense(X)[0],
                 domain=(min(x0, 0.0), max(x0, 0.0)), tail=u)
-    return InnerCoeff(order=r, sigma=sigma, poly=TaylorPoly.part(u).to_float(),
+    return InnerCoeff(poly=TaylorPoly.part(u).to_float(),
                       tail=AsymTail.part(u).to_float(), ray=ray)
 
 
@@ -616,60 +587,27 @@ def closed_form_series(
         raise SeriesError(f"unknown kind {kind!r}")
     half = Fraction(1, 2) if all(is_exact(c) for c in g.coeffs) else 0.5
     sign = 1 if kind == "attracting" else -1
-
-    iterates = [g]  # (sign * D S / 2)^n g
-    while 2 * len(iterates) + 2 <= N + 2:
-        prev = iterates[-1]
-        iterates.append(shift_slow(prev).derivative().scale(sign * half))
-
-    slow = [TaylorPoly.zero() for _ in range(N)]
-    fast = [FastFn.zero() for _ in range(N)]
-
-    if kind == "attracting":
-        for n in range(1, len(iterates) + 1):
-            m = 2 * n
-            if m < N:
-                slow[m] = shift_slow(iterates[n - 1]).scale(-half)
-        for n in range(len(iterates)):
-            m = 2 * n + 1
-            if m < N:
-                c = iterates[n].coefficient(0)
-                if c != 0:
-                    fast[m] = FastFn.from_basis(
-                        [BasisTerm("u", 2, 1, -1, c)], depth=depth
-                    )
-        return CombinedSeries(2, N, slow, fast)
-
-    # repelling side with prescribed initial value
     ic = list(ic) if ic is not None else []
     ic += [0] * (N - len(ic))
-    for n in range(1, len(iterates) + 1):
-        m = 2 * n
-        if m < N:
-            slow[m] = shift_slow(iterates[n - 1]).scale(half)
-    for n in range(len(iterates)):
-        m = 2 * n + 1
-        if m < N:
-            terms = []
-            b = iterates[n].coefficient(0)
-            if b != 0:
-                terms.append(BasisTerm("dawson", p=2, coef=b))
-            if ic[m] != 0:
-                terms.append(
-                    BasisTerm("exp_poly", p=2, coef=1,
-                              poly=TaylorPoly([ic[m]]))
-                )
-            if terms:
-                fast[m] = FastFn.from_basis(terms, depth=depth)
-    for n in range(0, N, 2):
-        d_n = ic[n]
-        if n >= 2 and (n - 2) // 2 < len(iterates):
-            d_n = d_n - shift_slow(iterates[(n - 2) // 2]).scale(half).coefficient(0)
-        if d_n != 0:
-            fast[n] = FastFn.from_basis(
-                [BasisTerm("exp_poly", p=2, coef=1, poly=TaylorPoly([d_n]))],
-                depth=depth,
-            )
+    slow = [TaylorPoly.zero() for _ in range(N)]
+    fast = [FastFn.zero() for _ in range(N)]
+    it = g  # the iterate (sign * D S / 2)^n g feeds orders 2n+1 and 2n+2
+    for m in range(N):
+        terms = []
+        if m % 2:
+            c = it.coefficient(0)
+            if c != 0:
+                terms.append(BasisTerm("u" if sign > 0 else "dawson", 2, 1, -1, c))
+        elif m:
+            shifted = shift_slow(it)
+            slow[m] = shifted.scale(-sign * half)
+            it = shifted.derivative().scale(sign * half)
+        if sign < 0:  # the flat layer exp(-X^2) that sets y(0) to the ic series
+            d = ic[m] - slow[m].coefficient(0)
+            if d != 0:
+                terms.append(BasisTerm("exp_poly", p=2, coef=1, poly=TaylorPoly([d])))
+        if terms:
+            fast[m] = FastFn.from_basis(terms, depth=depth)
     return CombinedSeries(2, N, slow, fast)
 
 

@@ -151,7 +151,6 @@ class ErrorTable:
     N: int
     p: int
     slope: Optional[float]
-    intercept: Optional[float]
     degenerate: bool
 
     def passes(self) -> bool:
@@ -221,13 +220,12 @@ def error_scaling(
 
     floor = _NOISE_FLOOR * scale
     degenerate = all(err <= floor for _eps, err in rows)
-    slope = intercept = None
+    slope = None
     if not degenerate and all(err > 0 for _eps, err in rows):
         xs = np.array([math.log(eps) / p for eps, _e in rows])  # log eta
         ys = np.array([math.log(err) for _e, err in rows])
-        slope, intercept = np.polyfit(xs, ys, 1)
-        slope, intercept = float(slope), float(intercept)
-    return ErrorTable(tuple(rows), N, p, slope, intercept, degenerate)
+        slope = float(np.polyfit(xs, ys, 1)[0])
+    return ErrorTable(tuple(rows), N, p, slope, degenerate)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +236,6 @@ def error_scaling(
 class ExpFit:
     A: float
     C: float
-    residual: float
     exponential: bool  # False means "not exponentially small"
 
 
@@ -258,4 +255,4 @@ def exp_smallness_fit(values: Sequence, p: int) -> ExpFit:
     C = math.exp(float(coef[1]))
     resid = float(np.sqrt(np.mean((np.polyval(coef, xs) - ys) ** 2)))
     ok = A > 0 and resid <= _EXP_FIT_RESIDUAL * max(1.0, float(np.std(ys)))
-    return ExpFit(A=A, C=C, residual=resid, exponential=ok)
+    return ExpFit(A=A, C=C, exponential=ok)

@@ -121,6 +121,8 @@ class TestExitCodes:
             ("spec-nan-c-validate", ["validate", "--orders", "1,2",
                                      "--eps", "0.04,0.02,0.01", "--xgrid=-1:0:5"],
              _h_spec(math.nan), "nan"),
+            ("spec-f-not-a-list", EXPAND, dict(EX1, f=5), "normalized"),
+            ("spec-f-not-normalized", EXPAND, dict(EX1, f=[0, 1]), "normalized"),
         )
     ] + [
         pytest.param(["gevrey", "fit", "--coeffs", "{file}", "--p", "2"],

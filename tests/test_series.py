@@ -507,7 +507,7 @@ class TestEvaluate:
     def test_domain_violation_rejected(self):
         from cae.errors import DomainError
 
-        ray = special.RayFn(sigma=-1, fn=lambda X: 1.0 / X, domain=(-8.0, 0.0))
+        ray = special.RayFn(fn=lambda X: 1.0 / X, domain=(-8.0, 0.0))
         g = FastFn(AsymTail([1.0]), (), ray)
         y = CombinedSeries(2, 1, fast=[g])
         assert evaluate_partial_sum(y, -0.4, 0.1) == pytest.approx(-0.25)

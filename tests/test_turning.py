@@ -56,6 +56,11 @@ class TestODESpec:
         back = ODESpec.from_json(doc)
         assert back == E1
 
+    def test_f_forms_accepted(self):
+        # f carries no information: absent, null and p*x^(p-1) give one spec
+        for f in ([0, 2], None):
+            assert ODESpec.from_json({"p": 2, "f": f}) == ODESpec(p=2)
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(SeriesError):
             ODESpec.from_json({"p": 2, "bogus": 1})
