@@ -273,10 +273,12 @@ def canard_control_series(spec: ODESpec, N: int) -> list:
 
     solved for alpha_n.  Supported for the y-linear control family; the
     moment of the control slot is (2/p) Gamma(1/p) > 0, so the linear
-    solve cannot degenerate.
+    solve cannot degenerate.  N = 0 gives no coefficients.
     """
     if not spec.control:
         raise SeriesError("spec has no control slot")
+    if N < 0:
+        raise SeriesError(f"control series order {N} is negative")
     if not spec.linear_in_y:
         raise UnsupportedExpansionError(
             "control series for y-dependent equations are outside the "

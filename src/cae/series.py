@@ -826,14 +826,14 @@ def differentiate(y: CombinedSeries) -> CombinedSeries:
     Requires the leading fast part to vanish identically; the result is one
     order shorter (the fast derivative at the top order is not available).
     """
+    N = y.N - 1
+    if N < 0:
+        raise SeriesError("cannot differentiate an empty series")
     if not y.fast[0].is_zero():
         raise NonDifferentiableError(
             "leading fast coefficient is nonzero; the combined series has no "
             "derivative (divide by eta first)"
         )
-    N = y.N - 1
-    if N < 0:
-        raise SeriesError("cannot differentiate an empty series")
     slow = [y.slow[n].derivative() for n in range(N)]
     fast = [y.fast[n + 1].derivative() for n in range(N)]
     return CombinedSeries(y.p, N, slow, fast)
@@ -981,8 +981,10 @@ def check_matching(outer: Sequence[Laurent], inner: Sequence[tuple],
     exactly, others to ``tol``.  A pole coefficient beyond its tail's known
     depth raises InsufficientTailError; a pole order or polynomial degree
     above n raises InfeasibleError; a violated identity raises
-    CompatibilityError with its (n, m).
+    CompatibilityError with its (n, m).  ``tol`` must be finite and >= 0.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise SeriesError(f"matching tol {tol!r} must be finite and >= 0")
     N = min(len(outer), len(inner))
     # c_{k,e} = rows[k][k + e] for e = -k..N-1-k, read once per outer order
     rows = [_window(v.dense, v.offset, -k, N - 1 - k) for k, v in enumerate(outer[:N])]

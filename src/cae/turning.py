@@ -174,6 +174,9 @@ class ODESpec:
         if doc.get("f") is not None and doc["f"] != [0] * (doc["p"] - 1) + [doc["p"]]:
             raise SeriesError(f"f must be the normalized p*x^(p-1), got {doc['f']!r}; "
                               "pre-normalize the equation before building a spec")
+        if type(doc.get("control", False)) is not bool:
+            raise SeriesError("spec field control must be true or false, "
+                              f"got {doc['control']!r}")
         return ODESpec(
             p=doc["p"],
             h=_spec_terms(doc, "h", ("j", "l")),

@@ -14,7 +14,9 @@ E1 = {"p": 4, "h": [{"j": 0, "l": 0, "c": -4}],
       "P": [{"j": 1, "k": 1, "l": 0, "c": -1}], "r": 1}
 NL = {"p": 2, "h": [{"j": 0, "l": 0, "c": 1.0}],  # strictly quasi-homogeneous
       "P": [{"j": 1, "k": 1, "l": 0, "c": -0.5}]}
+CONTROL = {"p": 4, "h": [{"j": 1, "l": 0, "c": 3}], "control": True}
 EXPAND = ["expand", "--order", "4"]
+CRITERION = ["canard", "criterion"]
 
 
 def _h_spec(c):
@@ -123,6 +125,12 @@ class TestExitCodes:
              _h_spec(math.nan), "nan"),
             ("spec-f-not-a-list", EXPAND, dict(EX1, f=5), "normalized"),
             ("spec-f-not-normalized", EXPAND, dict(EX1, f=[0, 1]), "normalized"),
+            ("spec-control-string", CRITERION, dict(CONTROL, control="no"),
+             "control must be true or false"),
+            ("criterion-negative-order", CRITERION + ["--order", "-2"], CONTROL,
+             "order -2 is negative"),
+            ("expand-nan-tol", EXPAND + ["--tol", "nan"], EX1, "tol"),
+            ("expand-negative-tol", EXPAND + ["--tol", "-1"], EX1, "tol"),
         )
     ] + [
         pytest.param(["gevrey", "fit", "--coeffs", "{file}", "--p", "2"],

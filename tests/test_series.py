@@ -230,6 +230,10 @@ class TestCalculus:
         with pytest.raises(NonDifferentiableError):
             differentiate(y)
 
+    def test_empty_series_refused(self):
+        with pytest.raises(SeriesError, match="empty series"):
+            differentiate(CombinedSeries(2, 0))
+
     def test_antiderivative_exact_inverse_square(self):
         y = CombinedSeries(2, 3, fast=[FastFn.from_tail([0, 1], exact=True)])
         Y, log = antiderivative(y, 0)
@@ -437,6 +441,14 @@ class TestReconstruct:
         rng = random.Random(11)
         for _ in range(5):
             self._round_trip(random_series(rng, exact=False), tol=1e-9)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf, -math.inf])
+    def test_tol_must_be_finite_and_nonnegative(self, tol):
+        # a NaN or negative tol would silently mean exact comparison
+        outer = [Laurent.zero(), Laurent.zero()]
+        inner = [(TaylorPoly.zero(), AsymTail.zero())] * 2
+        with pytest.raises(SeriesError, match="tol"):
+            reconstruct_from_matching(outer, inner, 2, tol=tol)
 
     def test_pole_violation(self):
         outer = [Laurent.zero(), Laurent([1], -3)]
