@@ -22,6 +22,7 @@ from . import _numerics
 from .errors import BlowupError, SeriesError
 from .special import gauss_moment
 from .turning import ODESpec, UnsupportedExpansionError, _g_polynomials
+from .validate import _shoot
 
 _TOL_FLOOR = 1e-12  # finest root tolerance; the solves run at rtol 1e-12
 _TAIL_TERMS = 8  # nonzero terms of both tail anchors
@@ -40,19 +41,6 @@ def _anchor_residual(rhs: Callable, anchor: Callable, X0: float) -> float:
     how well the anchor solves the equation."""
     der = (anchor(X0 + _DIFF_STEP) - anchor(X0 - _DIFF_STEP)) / (2 * _DIFF_STEP)
     return abs(der - rhs(X0, anchor(X0)))
-
-
-def _shoot(rhs: Callable, X0: float, y0):
-    """The array y(0) of the system dy/dX = rhs(X, y) through y0 at X0:
-    one DOP853 solve; every component must attract on the way to 0.
-    Only the endpoint is wanted, so unlike ``validate.ode_solve`` this
-    keeps no dense output and watches no events."""
-    sol = _numerics.integrate.solve_ivp(rhs, (X0, 0.0), y0, method="DOP853",
-                                        rtol=1e-12, atol=1e-14)
-    if not sol.success:
-        raise BlowupError("shooting toward X = 0 failed",
-                          where=float(sol.t[-1]))
-    return sol.y[:, -1]
 
 
 def _power_sum(coeffs, u):
@@ -118,7 +106,7 @@ def _uj_mismatch(c: float, X_far: float = _X_FAR, s: float = 1.0) -> float:
         return [union_jack_rhs(X, y_fwd, c), -union_jack_rhs(X, z, c)]
 
     y0 = [_uj_anchor(c, -X_far), _uj_growing_anchor(c, s, X_far)]
-    y_fwd, z = _shoot(rhs, -X_far, y0)
+    y_fwd, z = _shoot(rhs, -X_far, 0.0, y0)
     return float(y_fwd - z)
 
 
@@ -229,7 +217,7 @@ def angular_canard_value(eps: float, tol: float = 1e-10,
             return [T * vp + vp * vp + Dp, T * vm + vm * vm + Dm]
 
         v0 = [_reduced_anchor(Dp, T_far), _reduced_anchor(Dm, T_far)]
-        vp, vm = _shoot(rhs, T_far, v0)
+        vp, vm = _shoot(rhs, T_far, 0.0, v0)
         return float(gp * vp + gm * vm)
 
     span = max(8.0 * eps * eps, 1e-5)

@@ -18,15 +18,15 @@ import numpy as np
 
 from . import __version__
 from ._scalar import fmt17
-from .errors import CaeError, CompatibilityError, InfeasibleError
+from .errors import BlowupError, CaeError, CompatibilityError, InfeasibleError
 from .series import CombinedSeries, TaylorPoly, evaluate_partial_sum
 from .special import eval_u, u_tail
 from .turning import ODESpec, combined_from_matching
 from .validate import (
+    _shoot,
     bounded_solution_quadrature,
     check_grid,
     error_scaling,
-    ode_solve,
 )
 from .gevrey import gevrey_fit
 from .canard import (
@@ -118,14 +118,14 @@ def _cmd_validate(args) -> int:
 
 
 def _truth_for(spec: ODESpec, series: CombinedSeries, sigma: int, x_grid):
-    """Quadrature ground truth for y-linear specs; trajectory fallback
-    launched from the series value beyond the grid edge otherwise."""
+    """truth(x, eps) over the grid points: quadrature for y-linear specs;
+    otherwise, per eps, DOP853 shots through the grid (see ``values``),
+    where a blowup before a grid point raises BlowupError naming that
+    point and eps."""
     F = TaylorPoly([0] * spec.p + [1])
     if spec.linear_in_y:
         def g_eps(eps):
-            polys = {}
-            for (j, l), c in spec.h.items():
-                polys[j] = polys.get(j, 0) + float(c) * eps ** l
+            polys = _h_at(spec, eps)
             deg = max(polys, default=-1)
             return TaylorPoly([polys.get(j, 0.0) for j in range(deg + 1)])
 
@@ -136,33 +136,58 @@ def _truth_for(spec: ODESpec, series: CombinedSeries, sigma: int, x_grid):
         return truth
 
     edge = min(x_grid) - 0.25 if sigma < 0 else max(x_grid) + 0.25
-    far = max(x_grid) if sigma < 0 else min(x_grid)
+    stops = sorted(set(map(float, x_grid)), reverse=sigma > 0)
 
     @functools.cache
-    def trajectory(eps):
-        """One solve per eps across the whole grid, launched from the
-        series value beyond the grid edge; tol 1e-12 because the grid is
-        read from the dense interpolant, which is less accurate than the
-        step ends."""
-        y0 = evaluate_partial_sum(series, edge, eps ** (1.0 / spec.p))
+    def values(eps):
+        """{x: truth} over the grid: launched from the series value beyond
+        the grid edge, one DOP853 shot to each grid point in turn, each
+        starting where the last one ended and read at its step end."""
+        rhs = _folded_rhs(spec, eps)
+        t, y = edge, [evaluate_partial_sum(series, edge, eps ** (1.0 / spec.p))]
+        out = {}
+        for x in stops:
+            try:
+                y = _shoot(rhs, t, x, y)
+            except BlowupError as exc:
+                raise BlowupError(f"the truth blows up at x={exc.where:.6g}, before "
+                                  f"the grid point x={x!r}, at eps={eps!r}",
+                                  where=exc.where) from None
+            t, out[x] = x, float(y[0])
+        return out
 
-        def rhs(t, y):
-            val = spec.p * t ** (spec.p - 1) * y
-            for (j, l), c in spec.h.items():
-                val += eps * float(c) * t ** j * eps ** l
-            for (j, k, l), c in spec.P.items():
-                val += float(c) * t ** j * y ** (k + 1) * eps ** l
-            return val / eps
+    return lambda x, eps: values(eps)[float(x)]
 
-        return ode_solve(rhs, (edge, far), y0, tol=1e-12)
 
-    def truth(x, eps):
-        tr = trajectory(eps)
-        if tr.blowup and sigma * (x - tr.t_blow) < 0:
-            return tr.final  # x lies past the blowup
-        return tr(x)
+def _h_at(spec: ODESpec, eps: float) -> dict:
+    """{j: sum_l h[(j, l)] eps^l}: the forcing h(x, eps) at this eps."""
+    polys = {}
+    for (j, l), c in spec.h.items():
+        polys[j] = polys.get(j, 0.0) + float(c) * eps ** l
+    return polys
 
-    return truth
+
+def _folded_rhs(spec: ODESpec, eps: float):
+    """dy/dt of eps y' = p t^(p-1) y + eps h(t, eps) + y P(t, y, eps) at
+    this eps, with every eps power and coefficient folded into one float
+    per monomial, once; y is the 1-array solve_ivp passes."""
+    lin, m = spec.p / eps, spec.p - 1
+    g = tuple(_h_at(spec, eps).items())
+    nl = {}
+    for (j, k, l), c in spec.P.items():
+        nl[j, k + 1] = nl.get((j, k + 1), 0.0) + float(c) * eps ** l / eps
+    nl = tuple((j, n, c) for (j, n), c in nl.items())
+
+    def rhs(t, y):
+        y = y.item()
+        val = lin * t ** m * y
+        for j, c in g:
+            val += c * t ** j
+        for j, n, c in nl:
+            val += c * t ** j * y ** n
+        return [val]
+
+    return rhs
 
 
 def _cmd_special(args) -> int:

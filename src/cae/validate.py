@@ -2,9 +2,11 @@
 
 Linear turning-point problems get their bounded solutions from stable
 quadrature (no stepping, no stiffness); everything else integrates with an
-adaptive embedded Runge-Kutta pair.  Error tables fit log-log slopes of
-sup-errors against the root parameter, and exponential-smallness fits
-recover the constants of exp(-A/eta**p) decay.
+adaptive embedded Runge-Kutta pair: RK45 with dense output for whole
+trajectories, DOP853 read at the step end where only endpoints are wanted.
+Error tables fit log-log slopes of sup-errors against the root parameter,
+and exponential-smallness fits recover the constants of exp(-A/eta**p)
+decay.
 """
 
 from __future__ import annotations
@@ -133,6 +135,21 @@ def ode_solve(rhs: Callable, t_span, y0, tol: float = 1e-10,
         ts=sol.t, ys=sol.y, dense=sol.sol, blowup=hit,
         t_blow=float(sol.t_events[0][0]) if hit else None,
     )
+
+
+def _shoot(rhs: Callable, t0: float, t1: float, y0):
+    """The array y(t1) of the system dy/dt = rhs(t, y) through y0 at t0:
+    one DOP853 solve at rtol 1e-12, atol 1e-14, read at its last step
+    end.  Only the endpoint is wanted, so unlike ``ode_solve`` this keeps
+    no dense output (which would cost more RHS evaluations and be less
+    accurate than the step ends) and watches no events.  A failed solve,
+    as at a blowup, raises BlowupError where it stopped."""
+    sol = _numerics.integrate.solve_ivp(rhs, (t0, t1), y0, method="DOP853",
+                                        rtol=1e-12, atol=1e-14)
+    if not sol.success:
+        raise BlowupError(f"shooting from {t0!r} toward {t1!r} failed",
+                          where=float(sol.t[-1]))
+    return sol.y[:, -1]
 
 
 # ---------------------------------------------------------------------------

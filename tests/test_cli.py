@@ -4,10 +4,11 @@ import argparse
 import json
 import math
 
+import numpy as np
 import pytest
+from scipy import integrate
 
 from cae.cli import build_parser, main
-from cae.validate import ode_solve
 
 EX1 = {"p": 2, "h": [{"j": 0, "l": 0, "c": 1}, {"j": 1, "l": 0, "c": 1}]}
 E1 = {"p": 4, "h": [{"j": 0, "l": 0, "c": -4}],
@@ -317,25 +318,52 @@ class TestOutputs:
         assert float(last[3]) == pytest.approx(2.0, abs=0.05)
 
 
-    def test_validate_nonlinear_one_solve_per_eps(self, tmp_path, monkeypatch):
+    def test_validate_nonlinear_one_shot_chain_per_eps(self, tmp_path, monkeypatch):
         spec = write_spec(tmp_path, NL)
-        calls = []
+        shots = []
+        solve = integrate.solve_ivp
 
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return ode_solve(*args, **kwargs)
+        def recording(fun, t_span, y0, **kwargs):
+            sol = solve(fun, t_span, y0, **kwargs)
+            shots.append((tuple(t_span), list(y0), kwargs, sol.y[:, -1].tolist()))
+            return sol
 
-        monkeypatch.setattr("cae.cli.ode_solve", counting)
+        def refuse(*args, **kwargs):
+            raise AssertionError("ode_solve called")
+
+        monkeypatch.setattr(integrate, "solve_ivp", recording)
+        monkeypatch.setattr("cae.validate.ode_solve", refuse)
+        monkeypatch.setattr("cae.turning.ode_solve", refuse)
         out_path = tmp_path / "table.csv"
         rc = main(["validate", "--spec", spec, "--orders", "2,3,4",
                    "--eps", "0.1,0.05,0.025,0.0125", "--xgrid", "-0.5:0:8",
                    "--out", str(out_path)])
         assert rc == 0
-        # each trajectory spans the grid from beyond its outer edge
-        assert calls == [(-0.75, 0.0)] * 4
+        # per eps, one chain of shots from beyond the grid's outer edge
+        # through each grid point in turn, each starting where the last
+        # one ended, read at the step end: DOP853 without dense output
+        stops = [-0.75] + np.linspace(-0.5, 0.0, 8).tolist()
+        assert [span for span, *_ in shots] == list(zip(stops, stops[1:])) * 4
+        for i, (_span, y0, kwargs, _y1) in enumerate(shots):
+            assert kwargs == {"method": "DOP853", "rtol": 1e-12, "atol": 1e-14}
+            if i % 8:
+                assert y0 == shots[i - 1][3]
         rows = [l.split(",") for l in out_path.read_text().splitlines()[1:]]
         slopes = {int(r[0]): float(r[3]) for r in rows if r[3]}
         assert all(slopes[n] >= n - 0.3 for n in (2, 3, 4))
+
+    def test_validate_blown_up_truth_refused(self, tmp_path, capsys):
+        # y' = (2x y + eps + 30 x y^2)/eps runs to -infinity before x = -1
+        # at eps = 0.8; the capped value must not be read as a truth
+        spec = write_spec(tmp_path, {"p": 2, "h": [{"j": 0, "l": 0, "c": 1}],
+                                     "P": [{"j": 1, "k": 1, "l": 0, "c": 30}]})
+        rc = main(["validate", "--spec", spec, "--orders", "1,2",
+                   "--eps", "0.8,0.4,0.2", "--xgrid=-1:0:5"])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "x=-1.0" in err and "eps=0.8" in err
 
 
 class TestDeterminism:

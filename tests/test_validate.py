@@ -2,15 +2,17 @@
 
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+from cae.cli import _load_spec, _truth_for
 from cae.errors import SeriesError
 from cae.series import TaylorPoly, evaluate_partial_sum
 from cae.special import ExponentCapError
-from cae.turning import ODESpec, closed_form_series, outer_expansion
+from cae.turning import ODESpec, closed_form_series, combined_from_matching, outer_expansion
 from cae.validate import (
     bounded_solution_quadrature,
     check_grid,
@@ -215,6 +217,29 @@ class TestErrorScaling:
         check_grid(np.linspace(-1.0, 0.0, 5), -1)
         check_grid(np.linspace(0.0, 1.0, 5), 1)
         check_grid([0.0], 1)
+
+
+class TestNonlinearTruth:
+    @pytest.mark.parametrize("eps", [0.08, 0.04, 0.02])
+    def test_mpmath_oracle(self, eps):
+        # the truth of the nonlinear golden table against mpmath's Taylor
+        # ODE solver at 25 digits, started from the same series value at
+        # x = -0.95, a quarter beyond the grid's outer edge
+        mpmath = pytest.importorskip("mpmath")
+        spec = _load_spec(str(Path(__file__).parent / "golden" / "inputs"
+                              / "nl_p2_exact.json"))
+        series = combined_from_matching(spec, 4, -1)
+        grid = np.linspace(-0.7, 0.0, 8)
+        truth = _truth_for(spec, series, -1, grid)
+        y0 = evaluate_partial_sum(series, -0.95, math.sqrt(eps))
+        with mpmath.workdps(25):
+            e = mpmath.mpf(eps)
+            # eps y' = 2x y + eps - x y^2 / 2
+            ref = mpmath.odefun(lambda x, y: (2 * x * y + e - x * y * y / 2) / e,
+                                mpmath.mpf(-0.95), mpmath.mpf(y0))
+            for x in grid:
+                y = float(ref(mpmath.mpf(float(x))))
+                assert abs(truth(x, eps) - y) <= 2e-14 * max(1.0, abs(y))
 
 
 class TestExpSmallness:
