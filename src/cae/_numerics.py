@@ -4,13 +4,13 @@ one checked quadrature.
 Importing scipy costs more than some commands (``cae expand`` on a y-linear
 spec, ``cae resonance``, ``cae --help``) spend on their work, and they never
 call it.  So no other cae module imports scipy; each reads the submodule it
-needs as an attribute of this one, ``_numerics.optimize.brentq(...)``, and
-the first read imports it.  Later reads find the module in this module's
-namespace and cost one attribute lookup.
+needs as an attribute of this one, ``_numerics.integrate.solve_ivp(...)``,
+and the first read imports it.  Later reads find the module in this
+module's namespace and cost one attribute lookup.
 
 Look scipy functions up at call time, as above: a name bound once at import
-(``brentq = _numerics.optimize.brentq``) keeps pointing at the original
-after a tracer or a test replaces the function on the scipy module.
+(``solve_ivp = _numerics.integrate.solve_ivp``) keeps pointing at the
+original after a tracer or a test replaces the function on the scipy module.
 """
 
 import importlib
@@ -19,7 +19,7 @@ import warnings
 
 from .errors import SeriesError
 
-_SUBMODULES = ("integrate", "interpolate", "optimize", "special")
+_SUBMODULES = ("integrate", "interpolate", "special")
 _QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=300)
 
 

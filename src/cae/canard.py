@@ -4,21 +4,22 @@ point.
 
 The connection problems are solved by shooting: each branch is anchored on
 its tail at +-X_far and integrated toward X = 0 in the direction in which
-it attracts, and a smooth mismatch at X = 0 is driven to zero by brentq.
-Both branches of a problem run as one 2-vector system, one solve per
-mismatch evaluation.  Inward, an anchor error is damped like exp(-X^3/3)
-(Union Jack) or exp(-T^2/2) (angular), so with tails 8 terms deep the
-anchors sit close in, at X = 6 and T = 7, where the far field is only
-mildly stiff; results are independent of X_far beyond that.
+it attracts; ``_root`` finds the root of the smooth mismatch at X = 0 in
+rounds of one solve, each of all branches at a batch of values of c as one
+system.  Inward, an anchor error is damped like exp(-X^3/3) (Union Jack)
+or exp(-T^2/2) (angular), so with tails 8 terms deep the anchors sit close
+in, at X = 6 and T = 7, where the far field is only mildly stiff; results
+are independent of X_far beyond that.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cache, partial
+from functools import partial
 from typing import Callable, NamedTuple
 
-from . import _numerics
+import numpy as np
+
 from .errors import BlowupError, SeriesError
 from .special import gauss_moment
 from .turning import ODESpec, UnsupportedExpansionError, _g_polynomials
@@ -29,6 +30,7 @@ _TAIL_TERMS = 8  # nonzero terms of both tail anchors
 _X_FAR = 6.0  # |X| of the Union Jack anchors
 _T_FAR = 7.0  # T of the angular anchor
 _DIFF_STEP = 1e-4  # centered-difference step of _anchor_residual
+_NODES = 12  # Chebyshev-Lobatto nodes of a root's first round
 
 
 # ---------------------------------------------------------------------------
@@ -49,6 +51,39 @@ def _power_sum(coeffs, u):
     for cm in reversed(coeffs):
         acc = acc * u + cm
     return acc
+
+
+def _lobatto(lo: float, hi: float) -> np.ndarray:
+    """The ``_NODES`` Chebyshev-Lobatto nodes of [lo, hi], ascending."""
+    return 0.5 * (lo + hi) - 0.5 * (hi - lo) * np.cos(np.linspace(0, np.pi, _NODES))
+
+
+def _bracket(nodes, values):
+    """(a, F(a), b, F(b)) at the first neighbours a < b of the ascending
+    nodes between which values = F(nodes) changes sign, or None."""
+    pairs = zip(nodes, values, nodes[1:], values[1:])
+    return next((q for q in pairs if q[1] * q[3] <= 0), None)
+
+
+def _root(F: Callable, nodes: np.ndarray, values: np.ndarray, tol: float):
+    """(c, F(c), calls of F) at a node c within ``tol`` of a root of F, an
+    array function of c, from a first round values = F(nodes) that brackets
+    one.  The estimate r starts at the root of that round's interpolant;
+    each call evaluates F at r and r +- tol/2 inside the bracket and
+    narrows it to their first sign change (tol/2 wide once r is close
+    enough; else r moves to the secant root).  F(c) is measured, never
+    interpolated."""
+    a, fa, b, fb = _bracket(nodes, values)
+    tol = max(tol, 8 * np.spacing(abs(a) + abs(b)))  # every round narrows
+    roots = np.polynomial.Chebyshev.fit(nodes, values, len(nodes) - 1).roots()
+    r = roots[np.argmin(abs(roots - (a - fa * (b - a) / (fb - fa))))].real
+    calls = 0
+    while b - a > tol:
+        cs = np.clip(r + np.array([-0.5, 0.0, 0.5]) * tol, a, b)
+        calls += 1
+        a, fa, b, fb = _bracket(np.r_[a, cs, b], np.r_[fa, F(cs), fb])
+        r = a - fa * (b - a) / (fb - fa)
+    return (a, fa, calls) if abs(fa) <= abs(fb) else (b, fb, calls)
 
 
 def _check_tol(tol: float) -> None:
@@ -95,47 +130,52 @@ def union_jack_rhs(X, Y, c):
     return Y * (Y - X) * (Y + X) + c
 
 
-def _uj_mismatch(c: float, X_far: float = _X_FAR, s: float = 1.0) -> float:
-    """F(c) = Y_fwd(0) - Y_bwd(0): the solution vanishing at -infinity,
-    shot forward from -X_far, against the branch growing like s*X, shot
-    backward from +X_far.  The backward leg is reflected, Z(X) =
-    Y_bwd(-X), so that both legs run forward on [-X_far, 0] as one
-    system; the right-hand side is even in X, so Z' = -rhs(X, Z)."""
-    def rhs(X, y):
-        y_fwd, z = y.tolist()  # float arithmetic beats numpy on 2-vectors
-        return [union_jack_rhs(X, y_fwd, c), -union_jack_rhs(X, z, c)]
+def _uj_mismatch(c, X_far: float = _X_FAR, s: float = 1.0) -> np.ndarray:
+    """F(c) = Y_fwd(0) - Y_bwd(0) at each value of the array c: the solution
+    vanishing at -infinity, shot forward from -X_far, against the branch
+    growing like s*X, shot backward from +X_far.  The backward legs are
+    reflected, Z(X) = Y_bwd(-X), so all legs run forward on [-X_far, 0] as
+    one system; the right-hand side is even in X, so Z' = -rhs(X, Z)."""
+    c = np.atleast_1d(np.asarray(c, dtype=float))
+    sign = np.repeat([1.0, -1.0], c.size)
+    shift = sign * np.concatenate([c, c])
 
-    y0 = [_uj_anchor(c, -X_far), _uj_growing_anchor(c, s, X_far)]
-    y_fwd, z = _shoot(rhs, -X_far, 0.0, y0)
-    return float(y_fwd - z)
+    def rhs(X, y):  # sign * union_jack_rhs(X, y, c), in place
+        out = y * y
+        out -= X * X
+        out *= y
+        out *= sign
+        out += shift
+        return out
+
+    y0 = np.concatenate([_uj_anchor(c, -X_far), _uj_growing_anchor(c, s, X_far)])
+    y = _shoot(rhs, -X_far, 0.0, y0)
+    return y[:c.size] - y[c.size:]
 
 
 class UnionJackResult(NamedTuple):
     value: float  # the connection constant
     mismatch: float  # |F(value)|
-    evaluations: int  # mismatch evaluations made, one solve each
+    evaluations: int  # shooting solves made, each of F at a batch of c
 
 
 def union_jack_connection(tol: float = 1e-10, X_far: float = _X_FAR,
                           mirror: bool = False) -> UnionJackResult:
     """``union_jack_c0`` with its measured cost and final mismatch.
 
-    brentq on the mismatch F of ``_uj_mismatch``: F < 0 at c = 0 and F > 0
-    at c = 1/2 (beyond c ~ 0.85 the forward leg blows up).  The mirror
+    ``_root`` on the mismatch F of ``_uj_mismatch``, which changes sign on
+    [0, 1/2] (beyond c ~ 0.85 the forward leg blows up).  The mirror
     problem flips the sign of the growing branch; its bracket is [-1/2, 0].
     """
     _check_tol(tol)
     s = -1.0 if mirror else 1.0
-
-    @cache  # brentq re-reads the bracket ends
-    def F(c):
-        return _uj_mismatch(c, X_far, s)
-
-    lo, hi = sorted((0.0, 0.5 * s))
-    if not F(lo) * F(hi) < 0:
-        raise SeriesError("endpoints do not bracket the connection value")
-    c0 = _numerics.optimize.brentq(F, lo, hi, xtol=tol)
-    return UnionJackResult(c0, abs(F(c0)), F.cache_info().currsize)
+    F = partial(_uj_mismatch, X_far=X_far, s=s)
+    nodes = _lobatto(*sorted((0.0, 0.5 * s)))
+    values = F(nodes)
+    if _bracket(nodes, values) is None:
+        raise SeriesError("the mismatch does not change sign across the bracket")
+    c0, f0, calls = _root(F, nodes, values, tol)
+    return UnionJackResult(float(c0), abs(float(f0)), 1 + calls)
 
 
 def union_jack_c0(tol: float = 1e-10, X_far: float = _X_FAR,
@@ -199,51 +239,43 @@ def angular_canard_value(eps: float, tol: float = 1e-10,
     if eps == 0:
         return 0.0
 
-    def d_of(e):
-        return 0.5 * (-1.0 + math.sqrt(1.0 + 4.0 * e))
+    dp, dm = (0.5 * (-1.0 + math.sqrt(1.0 + 4.0 * e)) for e in (eps, -eps))
+    gp, gm = ((1.0 + 4.0 * e) ** 0.25 for e in (eps, -eps))
 
-    def gamma_of(e):
-        return (1.0 + 4.0 * e) ** 0.25
+    def F(c):  # both V_d branches at every value of c as one system
+        D = np.concatenate([(c - dp) / gp ** 2, (c - dm) / gm ** 2])
 
-    dp, dm = d_of(eps), d_of(-eps)
-    gp, gm = gamma_of(eps), gamma_of(-eps)
+        def rhs(T, v):  # T v + v^2 + D, in place
+            out = v + T
+            out *= v
+            out += D
+            return out
 
-    @cache  # brentq re-reads the bracket ends
-    def F(c):
-        Dp, Dm = (c - dp) / gp ** 2, (c - dm) / gm ** 2
-
-        def rhs(T, v):  # both V_d branches as one system on [T_far, 0]
-            vp, vm = v.tolist()
-            return [T * vp + vp * vp + Dp, T * vm + vm * vm + Dm]
-
-        v0 = [_reduced_anchor(Dp, T_far), _reduced_anchor(Dm, T_far)]
-        vp, vm = _shoot(rhs, T_far, 0.0, v0)
-        return float(gp * vp + gm * vm)
+        v = _shoot(rhs, T_far, 0.0, _reduced_anchor(D, T_far))
+        return gp * v[:c.size] + gm * v[c.size:]
 
     span = max(8.0 * eps * eps, 1e-5)
     lo, hi, blown = -span, span, None
-    flo = F(lo)
     for _ in range(60):
+        nodes = _lobatto(lo, hi)
         try:
-            fhi = F(hi)
+            values = F(nodes)
         except BlowupError:
             # near |eps| = 1/4 high ends drive V_d into blowup; the root
             # lies below that region, so pull the end toward the lower one
             blown, hi = hi, 0.5 * (lo + hi)
             continue
-        if flo * fhi <= 0:
+        if _bracket(nodes, values) is not None:
             break
         if blown is None:
             lo, hi = 2 * lo, 2 * hi
-            flo = F(lo)
         else:
             # the root lies between the last finite end and the blowup
-            lo, flo, hi = hi, fhi, 0.5 * (hi + blown)
+            lo, hi = hi, 0.5 * (hi + blown)
     else:
         raise SeriesError("could not bracket the angular canard value")
     # c ~ -2.7 eps^2, so an absolute tol alone would swamp it at tiny eps
-    xtol = min(tol, 1e-3 * eps * eps)
-    return float(_numerics.optimize.brentq(F, lo, hi, xtol=xtol, rtol=1e-15))
+    return float(_root(F, nodes, values, min(tol, 1e-3 * eps * eps))[0])
 
 
 # ---------------------------------------------------------------------------

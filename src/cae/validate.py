@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import _numerics
-from .errors import BlowupError, DomainError, SeriesError
+from .errors import BlowupError, SeriesError
 from .series import CombinedSeries, TaylorPoly, evaluate_partial_sum
 from .special import EXP_CAP, ExponentCapError
 
@@ -96,18 +96,6 @@ class Trajectory:
     dense: Callable
     blowup: bool
     t_blow: Optional[float] = None
-
-    def __call__(self, t):
-        lo, hi = min(self.ts[0], self.ts[-1]), max(self.ts[0], self.ts[-1])
-        if not (lo - 1e-12 <= t <= hi + 1e-12):
-            raise DomainError(f"t={t} outside computed span [{lo}, {hi}]")
-        out = self.dense(t)
-        return float(out[0]) if out.shape == (1,) else out
-
-    @property
-    def final(self):
-        y = self.ys[:, -1]
-        return float(y[0]) if y.shape == (1,) else y
 
 
 def ode_solve(rhs: Callable, t_span, y0, tol: float = 1e-10,

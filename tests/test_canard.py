@@ -50,6 +50,18 @@ class TestUnionJack:
         assert len(solve_spans) == res.evaluations
         assert set(solve_spans) == {(-6.0, 0.0)}
 
+    @pytest.mark.parametrize("mirror", [False, True])
+    @pytest.mark.parametrize("tol", [1e-12, 1e-10, 7.46e-9, 1e-8, 1e-6, 1e-3])
+    def test_root_contract(self, tol, mirror):
+        # the value lies within tol of the root, the batched rounds stay
+        # few, and the mismatch is F measured at the value, not interpolated
+        s = -1.0 if mirror else 1.0
+        res = union_jack_connection(tol=tol, mirror=mirror)
+        assert abs(res.value - s * KNOWN_C0_14) <= tol
+        if tol >= 7.46e-9:
+            assert res.evaluations <= 3
+        assert abs(res.mismatch - abs(_uj_mismatch(res.value, s=s)[0])) <= 1e-12
+
     def test_tail_recursion_exact(self):
         c = Fraction(1, 3)
         assert _uj_tail(c)[:4] == [c, 2 * c, c ** 3 + 10 * c,
@@ -141,6 +153,14 @@ class TestAngular:
     def test_independent_residual_root(self):
         ref = brentq(_independent_residual, -2e-3, -5e-4, xtol=1e-15, rtol=1e-15)
         assert abs(angular_canard_value(0.02) - ref) < 1e-10
+
+    @pytest.mark.parametrize("eps", [0.0055, 0.028, 0.095])
+    def test_root_contract(self, eps):
+        # the independent residual changes sign within the root tolerance
+        c = angular_canard_value(eps)
+        tol = min(1e-10, 1e-3 * eps * eps)
+        lo, hi = (_independent_residual(c + k * tol, eps) for k in (-1, 1))
+        assert lo * hi < 0
 
     @pytest.mark.parametrize("eps", [0.185, 0.2, 0.24, 0.249])
     def test_bracket_clear_of_blowup(self, eps):

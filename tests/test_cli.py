@@ -265,11 +265,20 @@ class TestOutputs:
         assert set(out) == {"value", "iterations", "residuals"}
         assert set(out["residuals"]) == {"mismatch", "anchor"}
         assert abs(out["value"] - 0.36217594111186) <= 1e-3
-        # the two bracket ends and at least one interior mismatch evaluation
+        # one solve over the first-round nodes and one refining round
         assert isinstance(out["iterations"], int)
-        assert 3 <= out["iterations"] <= 10
+        assert out["iterations"] == 2
         assert 0 <= out["residuals"]["mismatch"] < 1e-2
         assert out["residuals"]["anchor"] < 1e-6
+
+    @pytest.mark.parametrize("mirror", [False, True])
+    @pytest.mark.parametrize("tol", ["1", "10"])
+    def test_canard_unionjack_coarse_tol(self, tol, mirror, capsys):
+        # a tol wider than the bracket keeps every node inside it
+        rc = main(["canard", "unionjack", "--tol", tol] + ["--mirror"] * mirror)
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert 0 <= (-1 if mirror else 1) * out["value"] <= 0.5
 
     @pytest.mark.parametrize("argv", [
         ["unionjack", "--tol", "nan"],

@@ -94,10 +94,11 @@ def test_linear_truth_calls_quad(scipy_calls):
     assert scipy_calls == {"quad": 1}
 
 
-def test_canard_solve_calls_solve_ivp_and_brentq(scipy_calls):
+def test_canard_solve_calls_solve_ivp_not_brentq(scipy_calls):
     angular_canard_value(0.02)
-    assert scipy_calls["brentq"] == 1
-    assert scipy_calls["solve_ivp"] >= 2  # the two bracket ends at least
+    assert scipy_calls["brentq"] == 0
+    # one batched solve per round: the first-round nodes, then refinement
+    assert 1 <= scipy_calls["solve_ivp"] <= 3
     assert scipy_calls["quad"] == 0
 
 

@@ -425,7 +425,7 @@ class TestMatching:
             y0 = evaluate_partial_sum(cs, x0, eta, 5)
             tr = ode_solve(rhs, (x0, -0.4), y0, tol=1e-11)
             approx = evaluate_partial_sum(cs, -0.4, eta, 5)
-            assert abs(tr.final - approx) < 5 * eta ** 5
+            assert abs(tr.ys[0, -1] - approx) < 5 * eta ** 5
 
     def test_partial_sums_approximate_truth(self):
         # numeric: N-term sums against the bounded-solution quadrature

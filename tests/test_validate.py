@@ -69,14 +69,14 @@ class TestBoundedSolution:
 class TestOdeSolve:
     def test_exponential(self):
         tr = ode_solve(lambda t, y: y, (0.0, 1.0), 1.0, tol=1e-10)
-        assert tr.final == pytest.approx(math.e, abs=1e-8)
+        assert tr.ys[0, -1] == pytest.approx(math.e, abs=1e-8)
         assert not tr.blowup
-        assert tr(0.5) == pytest.approx(math.exp(0.5), abs=1e-8)
+        assert tr.dense(0.5)[0] == pytest.approx(math.exp(0.5), abs=1e-8)
 
     def test_invariant_zero_solution(self):
         rhs = lambda X, Y: Y * (Y - X) * (Y + X)
         tr = ode_solve(rhs, (-10.0, 10.0), 0.0, tol=1e-10)
-        assert abs(tr.final) < 1e-12
+        assert abs(tr.ys[0, -1]) < 1e-12
 
     def test_reduced_connection_value_finite_negative(self):
         # V' = TV + V^2 + D inward from the tail start -D/T: for moderate D
@@ -89,7 +89,7 @@ class TestOdeSolve:
             v0 = -D / T_far + (D - D * D) / T_far ** 3
             tr = ode_solve(rhs, (T_far, 0.0), v0, tol=1e-11)
             assert not tr.blowup
-            vals.append(tr.final)
+            vals.append(tr.ys[0, -1])
         assert vals[0] < 0 and math.isfinite(vals[0])
         assert vals[0] == pytest.approx(vals[1], abs=1e-6)
 
@@ -118,7 +118,7 @@ class TestOdeSolve:
         rhs = lambda x, y: (2.0 * x * y + eps * g(x)) / eps
         tr = ode_solve(rhs, (-2.0, -0.5), y0, tol=1e-11)
         want = bounded_solution_quadrature(F2, g, eps, -0.5, -1)
-        assert tr.final == pytest.approx(want, rel=1e-8)
+        assert tr.ys[0, -1] == pytest.approx(want, rel=1e-8)
 
 
 EPS_GRID = [0.1, 0.05, 0.025, 0.0125]
