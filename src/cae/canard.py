@@ -29,6 +29,7 @@ _TOL_FLOOR = 1e-12  # finest root tolerance; the solves run at rtol 1e-12
 _TAIL_TERMS = 8  # nonzero terms of both tail anchors
 _X_FAR = 6.0  # |X| of the Union Jack anchors
 _T_FAR = 7.0  # T of the angular anchor
+_EPS_MIN = 1e-7  # smallest nonzero |eps| of the angular canard value
 _DIFF_STEP = 1e-4  # centered-difference step of _anchor_residual
 _NODES = 12  # Chebyshev-Lobatto nodes of a root's first round
 
@@ -230,11 +231,17 @@ def angular_canard_value(eps: float, tol: float = 1e-10,
     with d + d**2 = eps and gamma**2 = 1 + 2 d, where V_d(., D) is the
     branch of V' = T V + V**2 + D decaying at +infinity.  Requires finite
     |eps| < 1/4 so both branches are real; the value curve is even in eps.
+    0 < |eps| < _EPS_MIN is refused: the mismatch there is below the
+    shooting's absolute noise floor (about 3e-17), and c/eps^2, -2.695 at
+    1e-7, reads -29.4 at 1e-9.
     ``tol`` is the root tolerance, at least 1e-12.
     """
     if not abs(eps) < 0.25:
         raise SeriesError(f"eps must be finite with |eps| < 1/4 for real "
                           f"branch data, got {eps!r}")
+    if 0 < abs(eps) < _EPS_MIN:
+        raise SeriesError(f"|eps| = {abs(eps)!r} is below {_EPS_MIN}: c(eps) "
+                          f"~ -2.7 eps^2 sinks into the shooting's noise floor")
     _check_tol(tol)
     if eps == 0:
         return 0.0

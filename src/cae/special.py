@@ -14,6 +14,7 @@ infinity come from the fixed-point inversion of the equation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -183,7 +184,10 @@ class RayFn:
 
     ``fn``/``dfn`` evaluate the function and its derivative on ``domain``,
     elementwise on arrays; ``tail`` is the formal expansion at the far
-    end of the half-line.
+    end of the half-line.  A point is checked against ``domain`` before
+    ``fn`` or ``dfn`` is called, so an off-domain point raises
+    ``DomainError`` even when they would first build their data (as the
+    rays of ``apply_j`` do, once).
     """
 
     fn: Callable
@@ -227,20 +231,14 @@ def apply_j(
     grid_n: int = 2048,
 ) -> RayFn:
     """Unique polynomial-growth solution of dU/dX = p X**(p-1) U + v(X)
-    on the sigma side.
+    on the sigma side, as a ray on [min(0, sigma X_far), max(0, sigma X_far)]
+    with X_far = _x_far(p).
 
-    The solution is anchored at sigma * _x_far(p) with its asymptotic tail
-    and carried inward over a grid of ``grid_n`` points by the explicit
-    solution of the flow,
-
-        U_{i+1} = e^{X_{i+1}^p - X_i^p} U_i
-                  + integral_{X_i}^{X_{i+1}} e^{X_{i+1}^p - T^p} v(T) dT,
-
-    whose factors are at most 1 on the way in (anchor error washes out).
-    Each cell integral is 8-point Gauss-Legendre, on as many panels as keep
-    the exponent drop per panel at most 3; v is called once, on the array
-    of all nodes (a scalar result broadcasts).  A cubic spline through the
-    grid values gives dense evaluation.
+    The formal tail is derived here.  The grid solution is stepped (see
+    ``_flow_spline``) the first time the ray or its derivative is
+    evaluated, once per ray; a caller that reads only the tail steps
+    nothing, and a flow that overflows raises ``BlowupError`` at that
+    first evaluation.
 
     v is a callable with ``v_series``, its formal expansion, given, or a
     constant.
@@ -259,6 +257,33 @@ def apply_j(
         raise SeriesError("apply_j needs the formal expansion of v for anchoring")
 
     u_series = tail_of_j_series(p, v_series, depth)
+    x0 = sigma * _x_far(p)
+    spline = functools.cache(lambda: _flow_spline(p, sigma, v_fn, u_series, grid_n))
+    return RayFn(
+        fn=lambda X: spline()[0](X),
+        dfn=lambda X: spline()[1](X),
+        domain=(min(x0, 0.0), max(x0, 0.0)),
+        tail=u_series,
+    )
+
+
+def _flow_spline(p: int, sigma: int, v_fn: Callable, u_series: Laurent,
+                 grid_n: int) -> tuple:
+    """The flow solution of apply_j, as the cubic spline through its values
+    on ``grid_n`` points from sigma * _x_far(p) to 0, and that spline's
+    derivative.
+
+    The solution is anchored at sigma * _x_far(p) with its tail and carried
+    inward by the explicit solution of the flow,
+
+        U_{i+1} = e^{X_{i+1}^p - X_i^p} U_i
+                  + integral_{X_i}^{X_{i+1}} e^{X_{i+1}^p - T^p} v(T) dT,
+
+    whose factors are at most 1 on the way in (anchor error washes out).
+    Each cell integral is 8-point Gauss-Legendre, on as many panels as keep
+    the exponent drop per panel at most 3; v is called once, on the array
+    of all nodes (a scalar result broadcasts).
+    """
     x0 = sigma * _x_far(p)
     xs = np.linspace(x0, 0.0, grid_n)
     pw = xs ** p
@@ -284,12 +309,7 @@ def apply_j(
                           where=float(xs[np.argmin(np.isfinite(us))]))
     # ascending knots
     spline = _numerics.interpolate.CubicSpline(xs[::-sigma], us[::-sigma])
-    return RayFn(
-        fn=spline,
-        dfn=spline.derivative(),
-        domain=(min(xs[0], xs[-1]), max(xs[0], xs[-1])),
-        tail=u_series,
-    )
+    return spline, spline.derivative()
 
 
 def flow_residual(u: RayFn, p: int, v_fn: Callable) -> float:

@@ -182,6 +182,13 @@ class TestAngular:
         assert angular_canard_value(1e-7, tol=1e-8) / 1e-14 == \
             pytest.approx(-2.693, abs=0.01)
 
+    @pytest.mark.parametrize("eps", [9.9e-8, -1e-8, 1e-9, 5e-324])
+    def test_below_noise_floor_refused(self, eps):
+        # c/eps^2 reads -2.74 at 3e-8, -2.53 at 1e-8 and -29.4 at 1e-9: the
+        # mismatch sinks under the shooting's absolute noise of about 3e-17
+        with pytest.raises(SeriesError, match="below 1e-07"):
+            angular_canard_value(eps)
+
 
 def _independent_residual(c, eps=0.02):
     """The angular connection residual coded apart from the library.

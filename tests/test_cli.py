@@ -286,6 +286,8 @@ class TestOutputs:
         ["unionjack", "--tol", "1e-13"],
         ["angular", "--tol", "nan"],
         ["angular", "--eps", "nan"],
+        ["angular", "--eps", "1e-9"],
+        ["angular", "--eps", "1e-20"],
     ])
     def test_canard_bad_numbers_exit_1(self, argv, capsys):
         rc = main(["canard"] + argv)

@@ -55,9 +55,11 @@ def _fresh(args):
     ["expand", "--spec", str(INPUTS / "p2_exact.json"), "--order", "8"],
     ["expand", "--spec", str(INPUTS / "p4_float.json"), "--order", "6",
      "--side", "plus"],
+    ["expand", "--spec", str(INPUTS / "nl_p2_exact.json"), "--order", "8"],
     ["resonance", "--alpha", "1", "--beta", "2", "--p", "2"],
     ["--help"],
-], ids=["expand-exact", "expand-float", "resonance", "help"])
+], ids=["expand-exact", "expand-float", "expand-nonlinear", "resonance",
+        "help"])
 def test_command_loads_no_scipy(argv):
     proc = _fresh(["-c", PROBE, json.dumps(argv)])
     assert proc.returncode == 0, proc.stderr

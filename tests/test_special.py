@@ -2,7 +2,9 @@
 inline with scipy so the expectations never depend on the code under test."""
 
 import math
+import sys
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 from scipy import integrate
 from scipy.special import gamma
 
-from cae.errors import SeriesError
+from cae.errors import DomainError, SeriesError
 from cae.series import AsymTail, BasisTerm, Laurent, TaylorPoly
 from cae import special
 from cae.special import (
@@ -295,11 +297,58 @@ class TestApplyJ:
             return 1.0 + X
 
         u = apply_j(4, -1, v, v_series=Laurent([1, 1]))
+        assert calls == []  # the grid is stepped on first evaluation
+        u(-1.0)
         assert len(calls) == 1 and len(calls[0]) == 2
         # 2047 cells, 8 Gauss-Legendre nodes each: at the default X_far no
         # cell needs splitting
         assert calls[0] == (2047, 8)
         assert flow_residual(u, 4, v) < 1e-8
+
+    def test_grid_stepped_once_on_first_evaluation(self, monkeypatch):
+        steps = []
+
+        def counting(*args):
+            steps.append(args)
+            return flow_spline(*args)
+
+        flow_spline = special._flow_spline
+        monkeypatch.setattr(special, "_flow_spline", counting)
+        u = apply_j(2, -1, lambda X: 1.0 + X, v_series=Laurent([1, 1]))
+        assert steps == []
+        first = u(-1.0)
+        assert u(np.array([-1.0, -0.5]))[0] == first
+        u.derivative(-0.5)
+        assert len(steps) == 1
+
+    def test_concurrent_first_evaluations_agree(self):
+        # a ray's first evaluations racing in threads give the values of a
+        # ray evaluated alone
+        X = np.linspace(-7.0, 0.0, 9)
+        want = apply_j(2, -1, lambda X: 1.0 + X, v_series=Laurent([1, 1]))(X)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(4):
+                u = apply_j(2, -1, lambda X: 1.0 + X, v_series=Laurent([1, 1]))
+                with ThreadPoolExecutor(4) as pool:
+                    futures = [pool.submit(u, X) for _ in range(8)]
+                    got = [f.result(timeout=60) for f in futures]
+                assert all(np.array_equal(g, want) for g in got)
+        finally:
+            sys.setswitchinterval(switch)
+
+    def test_off_domain_refused_before_any_step(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the grid must not be stepped")
+
+        monkeypatch.setattr(special, "_flow_spline", refuse)
+        u = apply_j(2, -1, 1.0)
+        assert u.domain == (-8.0, 0.0)
+        with pytest.raises(DomainError, match=r"outside evaluator domain \[-8\.0, 0\.0\]"):
+            u(-11.18)
+        with pytest.raises(DomainError):
+            u.derivative(np.array([-1.0, 0.5]))
 
     def test_steep_cells_split(self):
         # p = 6 from X_far = 6: the exponent drops by up to ~136 per cell

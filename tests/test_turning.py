@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate
+from scipy import integrate, interpolate
 
 from cae.errors import BlowupError, CaeError, InfeasibleError, SeriesError
 from cae.series import (
@@ -18,6 +18,7 @@ from cae.series import (
     evaluate_partial_sum,
 )
 from cae import special
+from cae.cli import main
 from cae.turning import (
     ODESpec,
     UnsupportedExpansionError,
@@ -28,6 +29,7 @@ from cae.turning import (
     inner_expansion,
     outer_expansion,
 )
+from test_golden import CASES, GOLDEN
 
 EX1 = ODESpec(p=2, h={(0, 0): 1, (1, 0): 1})          # eps y' = 2xy + eps(x+1)
 E1 = ODESpec(p=4, h={(0, 0): -4}, P={(1, 1, 0): -1})  # eps y' = 4x^3 y - 4 eps - x y^2
@@ -287,11 +289,37 @@ class TestGridNativeFlow:
         monkeypatch.setattr("cae.turning.apply_j",
                             functools.partial(special.apply_j, grid_n=16 * 2047 + 1))
         fine = inner_expansion(spec, 6, -1)
+        # rays step their grids on first evaluation, so the coarse ones are
+        # stepped below, under the patch: record the size of every grid
+        spline, knots = interpolate.CubicSpline, []
+        monkeypatch.setattr(interpolate, "CubicSpline",
+                            lambda x, y: knots.append(x.size) or spline(x, y))
         X = _nodes(spec.p)
-        for n in range(6):
-            w = coarse.coeff(n)
-            if w is not None and w.ray is not None:
-                assert np.abs(w(X) - fine.coeff(n)(X)).max() <= 1e-12, n
+        orders = [n for n in range(6) if coarse.coeff(n) is not None
+                  and coarse.coeff(n).ray is not None]
+        values, grids = [], []
+        for inner in (coarse, fine):
+            knots.clear()
+            values.append([inner.coeff(n)(X) for n in orders])
+            grids.append(set(knots))
+        assert grids == [{2048}, {16 * 2047 + 1}]
+        for n, w_coarse, w_fine in zip(orders, *values):
+            assert np.abs(w_coarse - w_fine).max() <= 1e-12, n
+
+    def test_expand_steps_no_flow(self, monkeypatch, capsys):
+        # cae expand prints only formal tails: no grid is stepped and no
+        # spline made, and the output is the golden one
+        def refuse(*args, **kwargs):
+            raise AssertionError("no flow may be stepped here")
+
+        monkeypatch.setattr(special, "_flow_spline", refuse)
+        monkeypatch.setattr(interpolate, "CubicSpline", refuse)
+        name = "expand_nl_p2_exact_o8_minus"
+        assert main(CASES[name]) == 0
+        assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
+        for spec, _values in _RK45_VALUES:
+            for sigma in (-1, 1):
+                combined_from_matching(spec, 8, sigma)
 
     @pytest.mark.parametrize("spec", [s for s, _ in _RK45_VALUES])
     def test_flow_residual_every_order(self, spec):
