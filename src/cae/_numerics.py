@@ -1,5 +1,5 @@
-"""The one door to scipy: its submodules, imported on first use, and the
-one checked quadrature.
+"""The one door to scipy: its submodules, imported on first use, the one
+checked quadrature and the one ODE integrator.
 
 Importing scipy costs more than some commands (``cae expand`` on a y-linear
 spec, ``cae resonance``, ``cae --help``) spend on their work, and they never
@@ -17,7 +17,7 @@ import importlib
 import math
 import warnings
 
-from .errors import SeriesError
+from .errors import BlowupError, SeriesError
 
 _SUBMODULES = ("integrate", "interpolate", "special")
 _QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=300)
@@ -48,3 +48,19 @@ def quad(f, a: float, b: float) -> float:
         raise SeriesError(f"quadrature failed to converge (value {val:.6g}, "
                           f"est. error {err:.2e})")
     return val
+
+
+def shoot(rhs, t0: float, t1: float, y0, dense: bool = False):
+    """The array y(t1) of the system dy/dt = rhs(t, y) through y0 at t0:
+    one DOP853 solve at rtol 1e-12, atol 1e-14, read at its last step end.
+    ``dense`` returns the whole solve_ivp result instead, its step ends
+    ``t``, ``y`` and its dense interpolant ``sol``, which costs three more
+    RHS evaluations per step, so an endpoint shot keeps none.  A failed
+    solve, as at a blowup, raises BlowupError where it stopped."""
+    integrate = __getattr__("integrate")
+    sol = integrate.solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=1e-12,
+                              atol=1e-14, **({"dense_output": True} if dense else {}))
+    if not sol.success:
+        raise BlowupError(f"shooting from {t0!r} toward {t1!r} failed",
+                          where=float(sol.t[-1]))
+    return sol if dense else sol.y[:, -1]

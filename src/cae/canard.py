@@ -4,12 +4,13 @@ point.
 
 The connection problems are solved by shooting: each branch is anchored on
 its tail at +-X_far and integrated toward X = 0 in the direction in which
-it attracts; ``_root`` finds the root of the smooth mismatch at X = 0 in
-rounds of one solve, each of all branches at a batch of values of c as one
-system.  Inward, an anchor error is damped like exp(-X^3/3) (Union Jack)
-or exp(-T^2/2) (angular), so with tails 8 terms deep the anchors sit close
-in, at X = 6 and T = 7, where the far field is only mildly stiff; results
-are independent of X_far beyond that.
+it attracts, by ``_numerics.shoot`` read at its endpoint; ``_root`` finds
+the root of the smooth mismatch at X = 0 in rounds of one solve, each of
+all branches at a batch of values of c as one system.  Inward, an anchor
+error is damped like exp(-X^3/3) (Union Jack) or exp(-T^2/2) (angular),
+so with tails 8 terms deep the anchors sit close in, at X = 6 and T = 7,
+where the far field is only mildly stiff; results are independent of
+X_far beyond that.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from ._numerics import shoot
 from .errors import BlowupError, SeriesError
 from .special import gauss_moment
 from .turning import ODESpec, UnsupportedExpansionError, _g_polynomials
-from .validate import _shoot
 
 _TOL_FLOOR = 1e-12  # finest root tolerance; the solves run at rtol 1e-12
 _TAIL_TERMS = 8  # nonzero terms of both tail anchors
@@ -150,7 +151,7 @@ def _uj_mismatch(c, X_far: float = _X_FAR, s: float = 1.0) -> np.ndarray:
         return out
 
     y0 = np.concatenate([_uj_anchor(c, -X_far), _uj_growing_anchor(c, s, X_far)])
-    y = _shoot(rhs, -X_far, 0.0, y0)
+    y = shoot(rhs, -X_far, 0.0, y0)
     return y[:c.size] - y[c.size:]
 
 
@@ -258,7 +259,7 @@ def angular_canard_value(eps: float, tol: float = 1e-10,
             out += D
             return out
 
-        v = _shoot(rhs, T_far, 0.0, _reduced_anchor(D, T_far))
+        v = shoot(rhs, T_far, 0.0, _reduced_anchor(D, T_far))
         return gp * v[:c.size] + gm * v[c.size:]
 
     span = max(8.0 * eps * eps, 1e-5)

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: expand, validate, special, gevrey, canard, resonance.
-Exit codes: 0 success, 2 validation/feasibility failure, 1 usage or I/O
-error.  Output is deterministic: '.' decimal CSV, floats at 17 significant
-digits, no timestamps (a version field appears only under --stamp).
+Exit codes: 0 success, 2 feasibility/matching failure, 1 usage or I/O
+error; validate reports its tables and exits 0 whatever their slopes.
+Output is deterministic: '.' decimal CSV, floats at 17 significant digits,
+no timestamps (a version field appears only under --stamp).
 File formats are documented in docs/formats.md.
 """
 
@@ -17,17 +18,13 @@ import sys
 import numpy as np
 
 from . import __version__
+from ._numerics import shoot
 from ._scalar import fmt17
 from .errors import BlowupError, CaeError, CompatibilityError, InfeasibleError
 from .series import CombinedSeries, TaylorPoly, evaluate_partial_sum
 from .special import eval_u, u_tail
 from .turning import ODESpec, combined_from_matching
-from .validate import (
-    _shoot,
-    bounded_solution_quadrature,
-    check_grid,
-    error_scaling,
-)
+from .validate import bounded_solution_quadrature, check_grid, error_scaling
 from .gevrey import gevrey_fit
 from .canard import (
     angular_canard_value,
@@ -148,7 +145,7 @@ def _truth_for(spec: ODESpec, series: CombinedSeries, sigma: int, x_grid):
         out = {}
         for x in stops:
             try:
-                y = _shoot(rhs, t, x, y)
+                y = shoot(rhs, t, x, y)
             except BlowupError as exc:
                 raise BlowupError(f"the truth blows up at x={exc.where:.6g}, before "
                                   f"the grid point x={x!r}, at eps={eps!r}",
@@ -170,7 +167,7 @@ def _h_at(spec: ODESpec, eps: float) -> dict:
 def _folded_rhs(spec: ODESpec, eps: float):
     """dy/dt of eps y' = p t^(p-1) y + eps h(t, eps) + y P(t, y, eps) at
     this eps, with every eps power and coefficient folded into one float
-    per monomial, once; y is the 1-array solve_ivp passes."""
+    per monomial, once; y is the 1-array ``shoot`` passes."""
     lin, m = spec.p / eps, spec.p - 1
     g = tuple(_h_at(spec, eps).items())
     nl = {}

@@ -124,7 +124,8 @@ def eval_u(p: int, k: int, sigma: int, X):
     integrand is odd, U_k^- = U_k^+ = -e^x Gamma(a, x)/p on the whole line.
     For odd k the growth side adds the full moment,
     -sigma e^x Gamma(a) (1 + P(a, x))/p, and is refused once x passes the
-    overflow guard.
+    overflow guard.  Where x itself overflows, the other values are
+    -x^(a-1)/p up to the sign, |X|^(k-p)/p, which may underflow to 0.
     """
     _check_p(p)
     if not 1 <= k <= p - 1:
@@ -135,7 +136,11 @@ def eval_u(p: int, k: int, sigma: int, X):
     scalar = isinstance(X, float)  # plain-float checks keep scalar calls cheap
     if not (math.isfinite(X) if scalar else np.isfinite(X).all()):
         raise SeriesError(f"U_{k} needs a finite X, got {X}")
-    x = abs(X) ** p
+    try:
+        x = abs(X) ** p
+    except OverflowError:  # a float past the double range; arrays give inf
+        x = math.inf
+    huge = x == math.inf
     growth = (sigma * X < 0) & bool(k % 2)
     over = growth & (x > EXP_CAP)
     if over if scalar else over.any():
@@ -151,6 +156,10 @@ def eval_u(p: int, k: int, sigma: int, X):
         x, growth = np.atleast_1d(x, growth)
         val = np.empty_like(x)
         val[~growth] = _exp_gamma_upper(a, x[~growth])
+        if huge if scalar else huge.any():
+            # e^x Gamma(a, x) = x^(a-1) = |X|^(k-p) there, exactly
+            huge = np.atleast_1d(huge)
+            val[huge] = np.abs(np.atleast_1d(X)[huge]) ** (k - p)
         xg = x[growth]
         sf = _numerics.special
         val[growth] = np.exp(xg) * sf.gamma(a) * (1.0 + sf.gammainc(a, xg))
@@ -191,9 +200,9 @@ class RayFn:
     """
 
     fn: Callable
+    dfn: Callable
     domain: tuple
     tail: Optional[Laurent] = None
-    dfn: Optional[Callable] = None
 
     def _eval(self, f, X):
         lo, hi = self.domain
@@ -207,8 +216,6 @@ class RayFn:
         return self._eval(self.fn, X)
 
     def derivative(self, X):
-        if self.dfn is None:
-            raise DomainError("no derivative data attached")
         return self._eval(self.dfn, X)
 
 

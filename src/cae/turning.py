@@ -22,6 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._numerics import shoot
 from ._scalar import is_exact, scalar_from_json, scalar_to_json
 from .errors import (
     BlowupError,
@@ -40,7 +41,8 @@ from .series import (
     shift_slow,
 )
 from .special import TAIL_DEPTH, RayFn, _x_far, apply_j, tail_of_j_series
-from .validate import ode_solve
+
+_BLOWUP_CAP = 1e6  # |Y| at which the reduced inner solution counts as blown up
 
 
 class UnsupportedExpansionError(CaeError):
@@ -486,9 +488,10 @@ def _compositions(total: int, parts: int):
 def _reduced_nonlinear_leading(spec: ODESpec, sigma: int,
                                depth: int) -> InnerCoeff:
     """Leading inner coefficient for a nonlinear reduced equation
-    Y' = p X^(p-1) Y + c X^(r-1) + sum q_{jk} X^j Y^(k+1), integrated
-    inward from its decaying tail; blowup before the origin is reported
-    with its location."""
+    Y' = p X^(p-1) Y + c X^(r-1) + sum q_{jk} X^j Y^(k+1), shot inward from
+    its decaying tail by one dense ``shoot``.  |Y| >= 1e6 at a step end, or
+    a failed solve, is a blowup before the origin, reported with its
+    location."""
     p, r = spec.p, spec.r
     c = spec.h.get((r - 1, 0), 0)
     qterms = [
@@ -516,13 +519,19 @@ def _reduced_nonlinear_leading(spec: ODESpec, sigma: int,
         u = tail_of_j_series(p, v, depth)
 
     x0 = sigma * _x_far(p)
-    tr = ode_solve(rhs, (x0, 0.0), float(u(x0)), tol=1e-10, cap=1e6)
-    if tr.blowup:
+    try:
+        sol = shoot(rhs, x0, 0.0, [float(u(x0))], dense=True)
+        big = np.abs(sol.y[0]) >= _BLOWUP_CAP
+        where = float(sol.t[np.argmax(big)]) if big.any() else None
+    except BlowupError as exc:
+        where = exc.where
+    if where is not None:
         raise BlowupError(
-            f"reduced inner solution blows up at X={tr.t_blow:.6g} before the origin",
-            where=tr.t_blow,
+            f"reduced inner solution blows up at X={where:.6g} before the origin",
+            where=where,
         )
-    ray = RayFn(fn=lambda X: tr.dense(X)[0],
+    fn = lambda X: sol.sol(X)[0]
+    ray = RayFn(fn=fn, dfn=lambda X: rhs(X, fn(X)),
                 domain=(min(x0, 0.0), max(x0, 0.0)), tail=u)
     return InnerCoeff(poly=TaylorPoly.part(u).to_float(),
                       tail=AsymTail.part(u).to_float(), ray=ray)

@@ -1,12 +1,10 @@
 """Numeric ground truth and statistical checks.
 
 Linear turning-point problems get their bounded solutions from stable
-quadrature (no stepping, no stiffness); everything else integrates with an
-adaptive embedded Runge-Kutta pair: RK45 with dense output for whole
-trajectories, DOP853 read at the step end where only endpoints are wanted.
-Error tables fit log-log slopes of sup-errors against the root parameter,
-and exponential-smallness fits recover the constants of exp(-A/eta**p)
-decay.
+quadrature (no stepping, no stiffness); everything else is integrated by
+``_numerics.shoot``.  Error tables fit log-log slopes of sup-errors against
+the root parameter, and exponential-smallness fits recover the constants
+of exp(-A/eta**p) decay.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import _numerics
-from .errors import BlowupError, SeriesError
+from .errors import SeriesError
 from .series import CombinedSeries, TaylorPoly, evaluate_partial_sum
 from .special import EXP_CAP, ExponentCapError
 
@@ -86,61 +84,6 @@ def bounded_solution_quadrature(F, g: Callable, eps: float, x: float,
 
 
 # ---------------------------------------------------------------------------
-# general ODE integration
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    ts: np.ndarray
-    ys: np.ndarray
-    dense: Callable
-    blowup: bool
-    t_blow: Optional[float] = None
-
-
-def ode_solve(rhs: Callable, t_span, y0, tol: float = 1e-10,
-              cap: float = 1e8) -> Trajectory:
-    """Adaptive embedded Runge-Kutta 5(4) trajectory with dense output and
-    blowup detection: |y| reaching ``cap`` ends the integration early and
-    flags the (partial) trajectory.  A scalar y0 gives ``rhs`` a scalar y;
-    a failed integration raises BlowupError."""
-    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-    fun = lambda t, y: np.atleast_1d(rhs(t, y if y.size > 1 else y[0]))
-
-    def blow(t, y):
-        return float(np.max(np.abs(y))) - cap
-
-    blow.terminal = True
-    sol = _numerics.integrate.solve_ivp(
-        fun, t_span, y0, method="RK45", rtol=tol, atol=tol * 1e-3,
-        dense_output=True, events=[blow],
-    )
-    if sol.status < 0:
-        raise BlowupError(f"integration failed: {sol.message}",
-                          where=sol.t[-1] if len(sol.t) else t_span[0])
-    hit = sol.status == 1 and len(sol.t_events[0]) > 0
-    return Trajectory(
-        ts=sol.t, ys=sol.y, dense=sol.sol, blowup=hit,
-        t_blow=float(sol.t_events[0][0]) if hit else None,
-    )
-
-
-def _shoot(rhs: Callable, t0: float, t1: float, y0):
-    """The array y(t1) of the system dy/dt = rhs(t, y) through y0 at t0:
-    one DOP853 solve at rtol 1e-12, atol 1e-14, read at its last step
-    end.  Only the endpoint is wanted, so unlike ``ode_solve`` this keeps
-    no dense output (which would cost more RHS evaluations and be less
-    accurate than the step ends) and watches no events.  A failed solve,
-    as at a blowup, raises BlowupError where it stopped."""
-    sol = _numerics.integrate.solve_ivp(rhs, (t0, t1), y0, method="DOP853",
-                                        rtol=1e-12, atol=1e-14)
-    if not sol.success:
-        raise BlowupError(f"shooting from {t0!r} toward {t1!r} failed",
-                          where=float(sol.t[-1]))
-    return sol.y[:, -1]
-
-
-# ---------------------------------------------------------------------------
 # error scaling
 
 
@@ -149,8 +92,8 @@ class ErrorTable:
     """Sup-errors per eps plus the log-log slope in eta = eps**(1/p).
 
     ``degenerate`` marks tables whose errors sit at the floating-point
-    noise floor; the slope is meaningless there and the O(eta**N) bound
-    holds vacuously."""
+    noise floor; the slope is meaningless there, so it is None, and the
+    O(eta**N) bound holds vacuously."""
 
     rows: tuple  # (eps, sup_error)
     N: int
@@ -159,9 +102,7 @@ class ErrorTable:
     degenerate: bool
 
     def passes(self) -> bool:
-        if self.degenerate:
-            return True
-        return self.slope is not None and self.slope >= self.N - _SLOPE_SLACK
+        return self.degenerate or self.slope >= self.N - _SLOPE_SLACK
 
 
 def check_grid(x_grid: Sequence[float], sigma: int):
@@ -193,16 +134,21 @@ def error_scaling(
     ``series`` against ``truth(x, eps)`` over the x-grid, one row per eps,
     with the least-squares slope of log(sup error) against log(eta).
 
-    eps values must be strictly decreasing, at least three, and span a
-    factor >= 4; the x-grid must not be empty.  A table whose errors all
-    sit below ``_NOISE_FLOOR`` times the largest truth is degenerate.  A
-    non-finite truth or partial-sum value raises SeriesError.
+    eps values must be finite and positive, strictly decreasing, at least
+    three, and span a factor >= 4; the x-grid must not be empty.  A table
+    whose errors all sit below ``_NOISE_FLOOR`` times the largest truth is
+    degenerate.  A non-finite truth or partial-sum value raises
+    SeriesError, and so does a zero sup error in a table that is not
+    degenerate: no slope can be read from it.
     """
     if len(x_grid) == 0:
         raise SeriesError("empty x-grid: a sup-norm error needs at least one point")
     eps_list = list(eps_list)
     if len(eps_list) < 3:
         raise SeriesError("need at least 3 eps values")
+    bad = next((eps for eps in eps_list if not (math.isfinite(eps) and eps > 0)), None)
+    if bad is not None:
+        raise SeriesError(f"eps values must be finite and positive, got {bad!r}")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise SeriesError("eps values must be strictly decreasing")
     if eps_list[0] / eps_list[-1] < 4:
@@ -226,7 +172,11 @@ def error_scaling(
     floor = _NOISE_FLOOR * scale
     degenerate = all(err <= floor for _eps, err in rows)
     slope = None
-    if not degenerate and all(err > 0 for _eps, err in rows):
+    if not degenerate:
+        zero = next((eps for eps, err in rows if err == 0), None)
+        if zero is not None:
+            raise SeriesError(f"sup error 0 at eps={zero!r} in a table that is not "
+                              f"degenerate: no slope can be read from it")
         xs = np.array([math.log(eps) / p for eps, _e in rows])  # log eta
         ys = np.array([math.log(err) for _e, err in rows])
         slope = float(np.polyfit(xs, ys, 1)[0])

@@ -9,6 +9,7 @@ import pytest
 from scipy import integrate
 
 from cae.cli import build_parser, main
+from test_golden import INPUTS
 
 EX1 = {"p": 2, "h": [{"j": 0, "l": 0, "c": 1}, {"j": 1, "l": 0, "c": 1}]}
 E1 = {"p": 4, "h": [{"j": 0, "l": 0, "c": -4}],
@@ -146,6 +147,23 @@ class TestExitCodes:
                      "finite", id=f"resonance-{a}-{b}")
         for a, b in (("1", "nan"), ("1", "inf"), ("inf", "2"))
     ] + [
+        pytest.param(["validate", "--orders", "1,2", "--eps", eps, "--xgrid=-1:0:5",
+                      "--spec", "{file}"], json.dumps(EX1),
+                     f"eps values must be finite and positive, got {bad}",
+                     id=f"validate-eps-{bad}")
+        for eps, bad in (("0.08,0.02,0", "0.0"), ("0.08,nan,0.02", "nan"),
+                         ("0.08,0.02,-0.01", "-0.01"), ("inf,0.08,0.02", "inf"))
+    ] + [
+        # the quadrature truth and the partial sums underflow to 0 at every
+        # point, a zero sup error no slope can be read from
+        pytest.param(["validate", "--orders", "1,2", "--eps", "0.08,0.02,1e-300",
+                      "--xgrid=-1:0:4", "--spec", str(INPUTS / "p2_exact.json")],
+                     None, "sup error 0 at eps=1e-300", id="validate-underflow"),
+    ] + [
+        pytest.param(["special", "U", "--p", p, "--k", k, "--sigma", "plus", "--x", x],
+                     None, "overflows", id=f"special-growth-p{p}-k{k}-{x}")
+        for p, k, x in (("4", "3", "-1e100"), ("4", "1", "-1e308"), ("2", "1", "-1e308"))
+    ] + [
         pytest.param(["special", "U", "--p", "2", "--x", "-3", "--depth", "-3"],
                      None, "depth", id="special-negative-depth"),
         pytest.param(["expand", "--order", "-2", "--spec", "{file}"],
@@ -217,6 +235,21 @@ class TestOutputs:
         diffs = [float(r[2]) for r in rows]
         assert all(a > b for a, b in zip(diffs, diffs[1:]))
         assert float(rows[2][1]) == pytest.approx(0.0497537, abs=1e-7)
+
+    @pytest.mark.parametrize("argv, value", [
+        (["--p", "4", "--k", "2", "--x", "1e308"], "-0"),
+        (["--p", "4", "--k", "2", "--x", "-1e100"], "-2.5e-201"),
+        (["--p", "4", "--k", "1", "--x", "-1e100"], "2.5000000000000001e-301"),
+        (["--p", "2", "--k", "1", "--sigma", "plus", "--x", "1e308"],
+         "-4.9999999999999995e-309"),
+    ])
+    def test_special_past_the_double_range(self, argv, value, capsys):
+        # |X|^p overflows a double; the decaying and even-k values are
+        # -/+|X|^(k-p)/p, which may underflow to 0
+        rc = main(["special", "U"] + argv)
+        out, err = capsys.readouterr()
+        assert (rc, err) == (0, "")
+        assert out.splitlines()[0].endswith(f") = {value}")
 
     @pytest.mark.parametrize("x", ["nan", "inf"])
     def test_special_non_finite_exits_1(self, x, capsys):
@@ -339,12 +372,7 @@ class TestOutputs:
             shots.append((tuple(t_span), list(y0), kwargs, sol.y[:, -1].tolist()))
             return sol
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("ode_solve called")
-
         monkeypatch.setattr(integrate, "solve_ivp", recording)
-        monkeypatch.setattr("cae.validate.ode_solve", refuse)
-        monkeypatch.setattr("cae.turning.ode_solve", refuse)
         out_path = tmp_path / "table.csv"
         rc = main(["validate", "--spec", spec, "--orders", "2,3,4",
                    "--eps", "0.1,0.05,0.025,0.0125", "--xgrid", "-0.5:0:8",

@@ -39,6 +39,8 @@ CASES = {
     "expand_p4_float_o12_plus": _expand("p4_float", 12, "plus"),
     # y-nonlinear spec: numeric inner orders, printed as their formal tails
     "expand_nl_p2_exact_o8_minus": _expand("nl_p2_exact", 8, "minus"),
+    # reduced inner equation nonlinear: one dense shot, its blowup check
+    "expand_nl_reduced_p2_o2_minus": _expand("nl_reduced_p2", 2, "minus"),
     "canard_criterion": ["canard", "criterion", "--spec",
                          str(INPUTS / "control.json"), "--order", "5"],
     # shooting + brentq: values, measured evaluation counts and residuals

@@ -7,6 +7,7 @@ so a replacement installed on the scipy module sees every call, and every
 quadrature checks the error estimate it gets back.
 """
 
+import ast
 import collections
 import json
 import math
@@ -107,6 +108,30 @@ def test_canard_solve_calls_solve_ivp_not_brentq(scipy_calls):
 def test_borel_laplace_calls_quad(scipy_calls):
     borel_laplace_truncated([1.0, -1.0, 2.0], 2, 0.5, 0.3)
     assert scipy_calls == {"quad": 1}
+
+
+def test_only_numerics_names_scipy_integration_or_quadrature():
+    # every other module reaches scipy through _numerics, and solves an ODE
+    # or a quadrature only through _numerics.shoot and _numerics.quad
+    banned = {"scipy", "integrate", "solve_ivp", "quad"}
+    for path in sorted(Path(SRC, "cae").glob("*.py")):
+        if path.name == "_numerics.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = {a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                names = {(node.module or "").split(".")[0]}
+                names |= {a.name for a in node.names}
+            elif isinstance(node, ast.Name):
+                names = {node.id}
+            elif isinstance(node, ast.Attribute):
+                is_wrapper = (node.attr == "quad" and isinstance(node.value, ast.Name)
+                              and node.value.id == "_numerics")
+                names = set() if is_wrapper else {node.attr}
+            else:
+                continue
+            assert not names & banned, (path.name, node.lineno, names & banned)
 
 
 def test_reduced_nonlinear_leading_calls_solve_ivp_once(scipy_calls):

@@ -86,6 +86,25 @@ class TestEvalU:
         with pytest.raises(ExponentCapError):
             eval_u(2, 1, -1, 40.0)
 
+    def test_past_the_double_range(self):
+        # |X|^p overflows a double: the decaying and even-k values are
+        # e^x Gamma(a, x)/p = |X|^(k-p)/p up to the sign, and may underflow
+        for (p, k, sigma, X), want in (((4, 2, -1, 1e100), -2.5e-201),
+                                       ((4, 2, 1, -1e100), -2.5e-201),
+                                       ((4, 1, -1, -1e100), 2.5e-301),
+                                       ((4, 3, 1, 1e100), -2.5e-101),
+                                       ((6, 3, -1, -1.5e60), 1.5 ** -3 * 1e-180 / 6),
+                                       ((4, 2, -1, 1e308), 0.0),
+                                       ((2, 1, 1, 1e308), -5e-309)):
+            assert eval_u(p, k, sigma, X) == pytest.approx(want, rel=1e-12, abs=0)
+        with np.errstate(over="ignore"):
+            got = eval_u(4, 1, -1, np.array([-1e100, -2.0]))
+        assert got.tolist() == [2.5e-301, eval_u(4, 1, -1, -2.0)]
+        # the odd-k growth side stays refused
+        for p, sigma, X in ((4, -1, 1e100), (2, -1, 1e308), (4, 1, -1e308)):
+            with pytest.raises(ExponentCapError):
+                eval_u(p, 1, sigma, X)
+
     def test_validation(self):
         with pytest.raises(SeriesError):
             eval_u(3, 1, -1, 0.0)

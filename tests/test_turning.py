@@ -210,12 +210,30 @@ class TestInnerExpansion:
             assert der == pytest.approx(rhs, abs=1e-6)
         # strong focusing blows up before the origin
         wild = ODESpec(p=2, h={(0, 0): 6}, P={(0, 1, 0): 3})
-        with pytest.raises(BlowupError) as exc:
+        with pytest.raises(BlowupError, match=r"^reduced inner solution blows up "
+                                              r"at X=-3\.19099 before the origin$") as exc:
             inner_expansion(wild, 2, -1)
-        assert exc.value.where is not None and exc.value.where < 0
+        assert exc.value.where == pytest.approx(-3.19099, abs=1e-5)
 
         with pytest.raises(UnsupportedExpansionError):
             inner_expansion(tame, 3, -1)
+
+    def test_reduced_leading_ray_mpmath_oracle(self):
+        # the dense ray of Y' = 2XY + 1/10 + Y^2/10 against mpmath's Taylor
+        # ODE solver at 30 digits, launched from the same tail value
+        mpmath = pytest.importorskip("mpmath")
+        tame = ODESpec(p=2, h={(0, 0): Fraction(1, 10)}, P={(0, 1, 0): Fraction(1, 10)})
+        ray = inner_expansion(tame, 2, -1).coeff(1).ray
+        x0 = ray.domain[0]
+        with mpmath.workdps(30):
+            tenth = mpmath.mpf(1) / 10
+            ref = mpmath.odefun(lambda X, Y: 2 * X * Y + tenth + tenth * Y * Y,
+                                x0, mpmath.mpf(float(ray.tail(x0))))
+            for X in range(-7, 1):
+                want = float(ref(X))
+                assert abs(ray(float(X)) - want) <= 1e-13, X
+                assert ray.derivative(float(X)) == pytest.approx(
+                    2 * X * want + 0.1 + 0.1 * want * want, abs=1e-13)
 
 
 # W_n of strictly quasi-homogeneous nonlinear specs (sigma = -1, N = 6) at
@@ -442,7 +460,7 @@ class TestMatching:
         # eps y' = 2xy + eps + eps y^2: the order-3 fast part is the flow
         # image of (U^-)^2 (numeric), and the assembled series tracks the
         # actual equation launched from its own value on the attracting side
-        from cae.validate import ode_solve
+        from cae._numerics import shoot
 
         spec = ODESpec(p=2, h={(0, 0): 1}, P={(0, 1, 1): 1})
         cs = combined_from_matching(spec, 5, -1)
@@ -451,9 +469,8 @@ class TestMatching:
             eta = math.sqrt(eps)
             rhs = lambda x, y: (2 * x * y + eps + eps * y * y) / eps
             y0 = evaluate_partial_sum(cs, x0, eta, 5)
-            tr = ode_solve(rhs, (x0, -0.4), y0, tol=1e-11)
             approx = evaluate_partial_sum(cs, -0.4, eta, 5)
-            assert abs(tr.ys[0, -1] - approx) < 5 * eta ** 5
+            assert abs(shoot(rhs, x0, -0.4, [y0])[0] - approx) < 5 * eta ** 5
 
     def test_partial_sums_approximate_truth(self):
         # numeric: N-term sums against the bounded-solution quadrature

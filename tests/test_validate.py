@@ -1,6 +1,7 @@
 """Ground-truth machinery tests."""
 
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,17 +9,23 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from cae._numerics import shoot
 from cae.cli import _load_spec, _truth_for
-from cae.errors import SeriesError
+from cae.errors import BlowupError, SeriesError
 from cae.series import TaylorPoly, evaluate_partial_sum
 from cae.special import ExponentCapError
-from cae.turning import ODESpec, closed_form_series, combined_from_matching, outer_expansion
+from cae.turning import (
+    ODESpec,
+    closed_form_series,
+    combined_from_matching,
+    inner_expansion,
+    outer_expansion,
+)
 from cae.validate import (
     bounded_solution_quadrature,
     check_grid,
     error_scaling,
     exp_smallness_fit,
-    ode_solve,
 )
 
 F2 = TaylorPoly([0, 0, 1])  # primitive x^2 of the field 2x
@@ -67,16 +74,17 @@ class TestBoundedSolution:
 
 
 class TestOdeSolve:
+    """``_numerics.shoot``, the one integrator, at its endpoint and dense."""
+
     def test_exponential(self):
-        tr = ode_solve(lambda t, y: y, (0.0, 1.0), 1.0, tol=1e-10)
-        assert tr.ys[0, -1] == pytest.approx(math.e, abs=1e-8)
-        assert not tr.blowup
-        assert tr.dense(0.5)[0] == pytest.approx(math.exp(0.5), abs=1e-8)
+        sol = shoot(lambda t, y: y, 0.0, 1.0, [1.0], dense=True)
+        assert sol.y[0, -1] == pytest.approx(math.e, abs=1e-11)
+        assert sol.sol(0.5)[0] == pytest.approx(math.exp(0.5), abs=1e-11)
+        assert shoot(lambda t, y: y, 0.0, 1.0, [1.0])[0] == sol.y[0, -1]
 
     def test_invariant_zero_solution(self):
         rhs = lambda X, Y: Y * (Y - X) * (Y + X)
-        tr = ode_solve(rhs, (-10.0, 10.0), 0.0, tol=1e-10)
-        assert abs(tr.ys[0, -1]) < 1e-12
+        assert abs(shoot(rhs, -10.0, 10.0, [0.0])[0]) < 1e-12
 
     def test_reduced_connection_value_finite_negative(self):
         # V' = TV + V^2 + D inward from the tail start -D/T: for moderate D
@@ -87,28 +95,29 @@ class TestOdeSolve:
         vals = []
         for T_far in (10.0, 14.0):
             v0 = -D / T_far + (D - D * D) / T_far ** 3
-            tr = ode_solve(rhs, (T_far, 0.0), v0, tol=1e-11)
-            assert not tr.blowup
-            vals.append(tr.ys[0, -1])
+            vals.append(shoot(rhs, T_far, 0.0, [v0])[0])
         assert vals[0] < 0 and math.isfinite(vals[0])
         assert vals[0] == pytest.approx(vals[1], abs=1e-6)
 
     def test_reduced_connection_pole_at_unit_control(self):
-        # at D = 1 the decaying branch is exactly -1/T (check: substitute),
-        # so the inward integration runs into the pole at T = 0 and the
-        # blowup flag must fire
+        # at D = 1 the decaying branch of V' = TV + V^2 + D is exactly -1/T
+        # (check: substitute).  T = sqrt(2) X, V = Y / sqrt(2) turns it into
+        # the reduced equation Y' = 2XY + 2 + Y^2, whose decaying solution
+        # -1/X runs into the pole at the origin; the shooter alone reaches
+        # the origin there, so the |Y| cap of the reduced leading
+        # coefficient must flag it
         D = 1.0
         for T in (10.0, 3.0, 1.0):
             assert (-1.0 / T) ** 2 + T * (-1.0 / T) + D == pytest.approx(1.0 / T ** 2)
-        tr = ode_solve(lambda T, V: T * V + V * V + D, (10.0, 0.0), -0.1,
-                       tol=1e-11, cap=1e6)
-        assert tr.blowup
-        assert tr.t_blow == pytest.approx(0.0, abs=1e-3)
+        pole = ODESpec(p=2, h={(0, 0): 2}, P={(0, 1, 0): 1})
+        with pytest.raises(BlowupError, match=r"reduced inner solution blows up "
+                                              r"at X=-9\.\d+e-07 before the origin"):
+            inner_expansion(pole, 2, -1)
 
     def test_blowup_flagged(self):
-        tr = ode_solve(lambda t, y: y * y, (0.0, 3.0), 1.0, tol=1e-9, cap=1e6)
-        assert tr.blowup
-        assert tr.t_blow == pytest.approx(1.0, abs=1e-4)
+        with pytest.raises(BlowupError) as exc:
+            shoot(lambda t, y: y * y, 0.0, 3.0, [1.0])
+        assert exc.value.where == pytest.approx(1.0, abs=1e-4)
 
     def test_linear_problem_matches_quadrature(self):
         # variation-of-constants oracle on eps y' = 2xy + eps g
@@ -116,9 +125,8 @@ class TestOdeSolve:
         g = lambda t: t + 1.0
         y0 = bounded_solution_quadrature(F2, g, eps, -2.0, -1)
         rhs = lambda x, y: (2.0 * x * y + eps * g(x)) / eps
-        tr = ode_solve(rhs, (-2.0, -0.5), y0, tol=1e-11)
         want = bounded_solution_quadrature(F2, g, eps, -0.5, -1)
-        assert tr.ys[0, -1] == pytest.approx(want, rel=1e-8)
+        assert shoot(rhs, -2.0, -0.5, [y0])[0] == pytest.approx(want, rel=1e-10)
 
 
 EPS_GRID = [0.1, 0.05, 0.025, 0.0125]
@@ -134,7 +142,7 @@ class TestErrorScaling:
         series = closed_form_series(TaylorPoly([1, 1]), 4)
         truth = lambda x, eps: evaluate_partial_sum(series, x, math.sqrt(eps), 4)
         tab = error_scaling(series, truth, EPS_GRID, X_GRID, 4)
-        assert tab.degenerate
+        assert tab.degenerate and tab.slope is None
         assert tab.passes()
 
     def test_example1_order2_slope(self):
@@ -185,6 +193,36 @@ class TestErrorScaling:
                  else r"x=-1\.0, eps=0\.1: truth \S+, partial sum nan")
         with pytest.raises(SeriesError, match="non-finite value at " + match):
             error_scaling(series, truth, EPS_GRID, X_GRID, 4)
+
+    @pytest.mark.parametrize("eps_list", [[0.08, 0.02, 0.0], [0.08, 0.02, -0.01],
+                                          [0.08, math.nan, 0.02], [math.inf, 0.08, 0.02]])
+    def test_eps_not_finite_and_positive_refused(self, eps_list):
+        # eps = 0 would divide the span check by zero, and a NaN passes the
+        # ordering and span checks: both are refused before any truth
+        series = closed_form_series(TaylorPoly([1, 1]), 4)
+
+        def no_truth(x, eps):
+            raise AssertionError("truth computed for a refused eps")
+
+        bad = next(e for e in eps_list if not 0 < e < math.inf)
+        with pytest.raises(SeriesError, match=re.escape(
+                f"eps values must be finite and positive, got {bad!r}")):
+            error_scaling(series, no_truth, eps_list, X_GRID, 2)
+
+    def test_zero_sup_error_refused_unless_degenerate(self):
+        # at eps = 1e-300 the quadrature truth of p2_exact (about 8.9e-151
+        # at x = 0) and its order-1 partial sum underflow to 0 at every
+        # grid point, so no slope can be read from the table
+        spec = _load_spec(str(Path(__file__).parent / "golden" / "inputs" / "p2_exact.json"))
+        series = combined_from_matching(spec, 2, -1)
+        grid = np.linspace(-1.0, 0.0, 4)
+        truth = _truth_for(spec, series, -1, grid)
+        assert truth(0.0, 1e-300) == 0.0
+        with pytest.raises(SeriesError, match=r"sup error 0 at eps=1e-300 in a "
+                                              r"table that is not degenerate"):
+            error_scaling(series, truth, [0.08, 0.02, 1e-300], grid, 1)
+        tab = error_scaling(series, truth, [0.08, 0.02, 0.005], grid, 1)
+        assert not tab.degenerate and isinstance(tab.slope, float)
 
     def test_grid_validation(self):
         series = closed_form_series(TaylorPoly([1, 1]), 4)
