@@ -3,14 +3,14 @@ value curve, and the order-by-order control series at a multiple turning
 point.
 
 The connection problems are solved by shooting: each branch is anchored on
-its tail at +-X_far and integrated toward X = 0 in the direction in which
-it attracts, by ``_numerics.shoot`` read at its endpoint; ``_root`` finds
-the root of the smooth mismatch at X = 0 in rounds of one solve, each of
-all branches at a batch of values of c as one system.  Inward, an anchor
-error is damped like exp(-X^3/3) (Union Jack) or exp(-T^2/2) (angular),
-so with tails 8 terms deep the anchors sit close in, at X = 6 and T = 7,
-where the far field is only mildly stiff; results are independent of
-X_far beyond that.
+its tail at +-``_X_FAR`` (or at T = ``_T_FAR``) and integrated toward
+X = 0 in the direction in which it attracts, by ``_numerics.shoot`` read at
+its endpoint; ``_root`` finds the root of the smooth mismatch at X = 0 in
+rounds of one solve, each of all branches at a batch of values of c as one
+system.  Inward, an anchor error is damped like exp(-X^3/3) (Union Jack)
+or exp(-T^2/2) (angular), so with tails 8 terms deep the anchors sit close
+in, at X = 6 and T = 7, where the far field is only mildly stiff; results
+are independent of the anchors beyond that.  Both are read at call time.
 """
 
 from __future__ import annotations
@@ -132,11 +132,11 @@ def union_jack_rhs(X, Y, c):
     return Y * (Y - X) * (Y + X) + c
 
 
-def _uj_mismatch(c, X_far: float = _X_FAR, s: float = 1.0) -> np.ndarray:
+def _uj_mismatch(c, s: float) -> np.ndarray:
     """F(c) = Y_fwd(0) - Y_bwd(0) at each value of the array c: the solution
-    vanishing at -infinity, shot forward from -X_far, against the branch
-    growing like s*X, shot backward from +X_far.  The backward legs are
-    reflected, Z(X) = Y_bwd(-X), so all legs run forward on [-X_far, 0] as
+    vanishing at -infinity, shot forward from -_X_FAR, against the branch
+    growing like s*X, shot backward from +_X_FAR.  The backward legs are
+    reflected, Z(X) = Y_bwd(-X), so all legs run forward on [-_X_FAR, 0] as
     one system; the right-hand side is even in X, so Z' = -rhs(X, Z)."""
     c = np.atleast_1d(np.asarray(c, dtype=float))
     sign = np.repeat([1.0, -1.0], c.size)
@@ -150,8 +150,8 @@ def _uj_mismatch(c, X_far: float = _X_FAR, s: float = 1.0) -> np.ndarray:
         out += shift
         return out
 
-    y0 = np.concatenate([_uj_anchor(c, -X_far), _uj_growing_anchor(c, s, X_far)])
-    y = shoot(rhs, -X_far, 0.0, y0)
+    y0 = np.concatenate([_uj_anchor(c, -_X_FAR), _uj_growing_anchor(c, s, _X_FAR)])
+    y = shoot(rhs, -_X_FAR, 0.0, y0)
     return y[:c.size] - y[c.size:]
 
 
@@ -161,9 +161,12 @@ class UnionJackResult(NamedTuple):
     evaluations: int  # shooting solves made, each of F at a batch of c
 
 
-def union_jack_connection(tol: float = 1e-10, X_far: float = _X_FAR,
-                          mirror: bool = False) -> UnionJackResult:
-    """``union_jack_c0`` with its measured cost and final mismatch.
+def union_jack_connection(tol: float = 1e-10, mirror: bool = False) -> UnionJackResult:
+    """Connection constant of dY/dX = Y(Y-X)(Y+X) + c, with its measured
+    cost and final mismatch: the unique c in (0, 1) joining the solution
+    that vanishes at -infinity to the branch growing like X at +infinity
+    (``mirror=True`` connects to -X instead and gives the opposite
+    constant).  ``tol`` is the root tolerance, at least 1e-12.
 
     ``_root`` on the mismatch F of ``_uj_mismatch``, which changes sign on
     [0, 1/2] (beyond c ~ 0.85 the forward leg blows up).  The mirror
@@ -171,7 +174,7 @@ def union_jack_connection(tol: float = 1e-10, X_far: float = _X_FAR,
     """
     _check_tol(tol)
     s = -1.0 if mirror else 1.0
-    F = partial(_uj_mismatch, X_far=X_far, s=s)
+    F = partial(_uj_mismatch, s=s)
     nodes = _lobatto(*sorted((0.0, 0.5 * s)))
     values = F(nodes)
     if _bracket(nodes, values) is None:
@@ -180,20 +183,9 @@ def union_jack_connection(tol: float = 1e-10, X_far: float = _X_FAR,
     return UnionJackResult(float(c0), abs(float(f0)), 1 + calls)
 
 
-def union_jack_c0(tol: float = 1e-10, X_far: float = _X_FAR,
-                  mirror: bool = False) -> float:
-    """Connection constant of dY/dX = Y(Y-X)(Y+X) + c: the unique c in
-    (0, 1) joining the solution that vanishes at -infinity to the branch
-    growing like X at +infinity (``mirror=True`` connects to -X instead
-    and returns the opposite constant).  ``tol`` is the root tolerance,
-    at least 1e-12.
-    """
-    return union_jack_connection(tol, X_far, mirror).value
-
-
-def union_jack_anchor_residual(c: float, X_far: float = _X_FAR) -> float:
+def union_jack_anchor_residual(c: float) -> float:
     return _anchor_residual(partial(union_jack_rhs, c=c),
-                            partial(_uj_anchor, c), -X_far)
+                            partial(_uj_anchor, c), -_X_FAR)
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +214,7 @@ def reduced_anchor_residual(D: float) -> float:
                             partial(_reduced_anchor, D), _T_FAR)
 
 
-def angular_canard_value(eps: float, tol: float = 1e-10,
-                         T_far: float = _T_FAR) -> float:
+def angular_canard_value(eps: float, tol: float = 1e-10) -> float:
     """Canard value c(eps) of the classical angular problem: the root of
 
         gamma(eps)  V_d(0, (c - d(eps)) / gamma(eps)**2)
@@ -259,7 +250,7 @@ def angular_canard_value(eps: float, tol: float = 1e-10,
             out += D
             return out
 
-        v = shoot(rhs, T_far, 0.0, _reduced_anchor(D, T_far))
+        v = shoot(rhs, _T_FAR, 0.0, _reduced_anchor(D, _T_FAR))
         return gp * v[:c.size] + gm * v[c.size:]
 
     span = max(8.0 * eps * eps, 1e-5)

@@ -222,6 +222,7 @@ class RayFn:
 _GAUSS_T, _GAUSS_W = np.polynomial.legendre.leggauss(8)
 _MAX_DROP = 3.0  # largest exponent drop e^(-drop) one 8-point panel integrates
 _RESIDUAL_POINTS = 50  # grid points of flow_residual
+_GRID_N = 2048  # points of an apply_j grid, read when the ray is built
 
 
 def _x_far(p: int) -> float:
@@ -229,43 +230,26 @@ def _x_far(p: int) -> float:
     return 8.0 if p == 2 else 6.0
 
 
-def apply_j(
-    p: int,
-    sigma: int,
-    v,
-    v_series: Optional[Laurent] = None,
-    depth: int = TAIL_DEPTH,
-    grid_n: int = 2048,
-) -> RayFn:
+def apply_j(p: int, sigma: int, v: Callable, v_series: Laurent,
+            depth: int = TAIL_DEPTH) -> RayFn:
     """Unique polynomial-growth solution of dU/dX = p X**(p-1) U + v(X)
-    on the sigma side, as a ray on [min(0, sigma X_far), max(0, sigma X_far)]
-    with X_far = _x_far(p).
+    on the sigma side, as a ray from sigma * _x_far(p) to 0; ``v_series``
+    is the formal expansion of the callable v at infinity, which anchors
+    the solution.
 
-    The formal tail is derived here.  The grid solution is stepped (see
-    ``_flow_spline``) the first time the ray or its derivative is
-    evaluated, once per ray; a caller that reads only the tail steps
-    nothing, and a flow that overflows raises ``BlowupError`` at that
-    first evaluation.
-
-    v is a callable with ``v_series``, its formal expansion, given, or a
-    constant.
+    The formal tail is derived here, and the grid size ``_GRID_N`` is read
+    here too.  The grid solution is stepped (see ``_flow_spline``)
+    the first time the ray or its derivative is evaluated, once per ray; a
+    caller that reads only the tail steps nothing, and a flow that
+    overflows raises ``BlowupError`` at that first evaluation.
     """
     _check_p(p)
     if sigma not in (-1, 1):
         raise SeriesError("sigma must be -1 or +1")
-    if callable(v):
-        v_fn = v
-    else:  # constant
-        c = float(v)
-        v_fn = lambda X: c
-        if v_series is None:
-            v_series = Laurent([v])
-    if v_series is None:
-        raise SeriesError("apply_j needs the formal expansion of v for anchoring")
-
     u_series = tail_of_j_series(p, v_series, depth)
     x0 = sigma * _x_far(p)
-    spline = functools.cache(lambda: _flow_spline(p, sigma, v_fn, u_series, grid_n))
+    points = _GRID_N
+    spline = functools.cache(lambda: _flow_spline(p, sigma, v, u_series, points))
     return RayFn(
         fn=lambda X: spline()[0](X),
         dfn=lambda X: spline()[1](X),
@@ -275,10 +259,10 @@ def apply_j(
 
 
 def _flow_spline(p: int, sigma: int, v_fn: Callable, u_series: Laurent,
-                 grid_n: int) -> tuple:
+                 points: int) -> tuple:
     """The flow solution of apply_j, as the cubic spline through its values
-    on ``grid_n`` points from sigma * _x_far(p) to 0, and that spline's
-    derivative.
+    on ``points`` equally spaced points from sigma * _x_far(p) to 0, and
+    that spline's derivative.
 
     The solution is anchored at sigma * _x_far(p) with its tail and carried
     inward by the explicit solution of the flow,
@@ -292,11 +276,11 @@ def _flow_spline(p: int, sigma: int, v_fn: Callable, u_series: Laurent,
     of all nodes (a scalar result broadcasts).
     """
     x0 = sigma * _x_far(p)
-    xs = np.linspace(x0, 0.0, grid_n)
+    xs = np.linspace(x0, 0.0, points)
     pw = xs ** p
     # panels: cell i is split into m_i equal parts
     m = np.maximum(1, np.ceil(np.abs(np.diff(pw)) / _MAX_DROP)).astype(int)
-    cell = np.repeat(np.arange(grid_n - 1), m)
+    cell = np.repeat(np.arange(points - 1), m)
     part = np.arange(cell.size) - np.repeat(np.cumsum(m) - m, m)
     h = (xs[1] - xs[0]) / m[cell]
     lo = xs[cell] + part * h
@@ -304,7 +288,7 @@ def _flow_spline(p: int, sigma: int, v_fn: Callable, u_series: Laurent,
     vals = np.broadcast_to(np.asarray(v_fn(nodes), dtype=float), nodes.shape)
     weighted = np.exp(pw[cell + 1][:, None] - nodes ** p) * vals
     panel = 0.5 * h * (weighted @ _GAUSS_W)
-    forced = np.bincount(cell, weights=panel, minlength=grid_n - 1)
+    forced = np.bincount(cell, weights=panel, minlength=points - 1)
     decay = np.exp(np.diff(pw))
 
     us = [float(u_series(x0))]

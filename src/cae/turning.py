@@ -10,8 +10,8 @@ x**j y**(k+1) eps**l to the right side).  The outer expansion in eps is a
 Laurent recursion, exact over rationals; the inner expansion in the
 stretched variable X = x/eta solves one linear flow equation per order.
 Matching the two yields a combined series when the outer poles stay within
-the admissible envelope, and the failure of that envelope is exactly the
-obstruction reported by ``dac_feasibility``.
+the admissible envelope; ``dac_feasibility`` raises InfeasibleError, naming
+the first order that leaves it, exactly when they do not.
 """
 
 from __future__ import annotations
@@ -266,35 +266,16 @@ def outer_expansion(spec: ODESpec, N: int) -> OuterExpansion:
     return OuterExpansion(p=p, r=spec.r, orders=tuple(vs))
 
 
-@dataclass(frozen=True)
-class Feasibility:
-    passed: bool
-    witness: Optional[int] = None
-    pole: Optional[int] = None
-    bound: Optional[int] = None
-
-    def __bool__(self):
-        return self.passed
-
-    @property
-    def message(self) -> str:
-        if self.passed:
-            return "pole orders admissible"
-        return (
-            f"pole order {self.pole} at n={self.witness} exceeds "
-            f"{self.bound}"
-        )
-
-
-def dac_feasibility(outer: OuterExpansion) -> Feasibility:
-    """Pass iff the outer pole orders stay within the quasi-linear envelope
-    pole(v_n) <= p*(n-1) + r; the witness is the first violating n."""
+def dac_feasibility(outer: OuterExpansion) -> None:
+    """Raise InfeasibleError, with the first violating n and its pole order
+    and bound, unless the outer pole orders stay within the quasi-linear
+    envelope pole(v_n) <= p*(n-1) + r."""
     for n in range(1, len(outer)):
         bound = outer.p * (n - 1) + outer.r
         pole = outer.orders[n].pole_order
         if pole > bound:
-            return Feasibility(False, witness=n, pole=pole, bound=bound)
-    return Feasibility(True)
+            raise InfeasibleError(f"pole order {pole} at n={n} exceeds {bound}",
+                                  n=n, pole=pole, bound=bound)
 
 
 # ---------------------------------------------------------------------------
@@ -506,17 +487,19 @@ def _reduced_nonlinear_leading(spec: ODESpec, sigma: int,
         return val
 
     # formal tail of the nonlinear solution, by the same fixed-point
-    # inversion with the nonlinear terms folded in iteratively
+    # inversion with the nonlinear terms folded in until it stops changing;
+    # each coefficient depends only on those of powers at least p higher,
+    # so each pass fixes more of them and the loop ends
     v0 = Laurent([c], r - 1)
-    u = tail_of_j_series(p, v0, depth)
-    for _ in range(4):
+    u, last = tail_of_j_series(p, v0, depth), None
+    while u != last:
         v = v0
         for (j, k), cc in qterms:
             term = Laurent([cc], j)
             for _i in range(k + 1):
                 term = term * u
             v = v + term
-        u = tail_of_j_series(p, v, depth)
+        last, u = u, tail_of_j_series(p, v, depth)
 
     x0 = sigma * _x_far(p)
     try:
@@ -555,10 +538,7 @@ def combined_from_matching(
     pole order of the checked outer coefficients when that is larger."""
     n_eps = max(1, (N - 1) // spec.p)
     outer = outer_expansion(spec, n_eps)
-    feas = dac_feasibility(outer)
-    if not feas:
-        raise InfeasibleError(feas.message, n=feas.witness, pole=feas.pole,
-                              bound=feas.bound)
+    dac_feasibility(outer)
     p = spec.p
     outer_n = [Laurent.zero()] * N  # v_n sits at eta-order p*n
     for n, v in enumerate(outer.orders):
@@ -629,40 +609,29 @@ def closed_form_series(
 
 @dataclass(frozen=True)
 class ControlExpansion:
-    """Control coefficients and the pole-free formal solution parts.
-
-    ``grading`` records the expansion variable of ``alphas``: "eps" for the
-    p = 2 closed recursion, "eta" when delegated to the moment method."""
+    """Control coefficients, graded in eps, and the pole-free formal
+    solution parts."""
 
     alphas: tuple
-    ys: Optional[tuple]
-    grading: str
+    ys: tuple
 
 
 def control_expansion(g: TaylorPoly, p: int, N: int) -> ControlExpansion:
     """Control values making the formal solution of
-    eps y' = p x^(p-1) y + eps (g(x) + alpha) pole-free at the origin.
-
-    For p = 2 the recursion alpha_n = y_n'(0), y_{n+1} = S(y_n' - alpha_n)/2
-    runs exactly (alphas graded in eps).  Other even p delegate to the
-    moment method in the canard module (alphas graded in eta = eps^(1/p)).
+    eps y' = 2 x y + eps (g(x) + alpha) pole-free at the origin, by the
+    closed recursion alpha_n = y_n'(0), y_{n+1} = S(y_n' - alpha_n)/2, exact
+    for exact g.  Only p = 2 has this recursion; any other p raises
+    SeriesError, and ``canard.canard_control_series`` gives the control
+    series of every even p, graded in eta = eps^(1/p).
     """
-    if p == 2:
-        half = Fraction(1, 2) if all(is_exact(c) for c in g.coeffs) else 0.5
-        alphas = [-g.coefficient(0)]
-        ys = [TaylorPoly.zero(), shift_slow(g).scale(-half)]
-        for n in range(1, N):
-            dy = ys[n].derivative()
-            alpha_n = dy.coefficient(0)
-            alphas.append(alpha_n)
-            ys.append(shift_slow(dy).scale(half))
-        return ControlExpansion(tuple(alphas[:N]), tuple(ys[: N + 1]), "eps")
-    from . import canard
-
-    spec = ODESpec(
-        p=p,
-        h={(j, 0): c for j, c in enumerate(g.coeffs) if c != 0},
-        control=True,
-    )
-    alphas = canard.canard_control_series(spec, N)
-    return ControlExpansion(tuple(alphas), None, "eta")
+    if p != 2:
+        raise SeriesError(f"the control recursion is closed only at p = 2, got "
+                          f"p={p}; use canard.canard_control_series")
+    half = Fraction(1, 2) if all(is_exact(c) for c in g.coeffs) else 0.5
+    alphas = [-g.coefficient(0)]
+    ys = [TaylorPoly.zero(), shift_slow(g).scale(-half)]
+    for n in range(1, N):
+        dy = ys[n].derivative()
+        alphas.append(dy.coefficient(0))
+        ys.append(shift_slow(dy).scale(half))
+    return ControlExpansion(tuple(alphas[:N]), tuple(ys[: N + 1]))

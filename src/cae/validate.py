@@ -21,7 +21,6 @@ from .series import CombinedSeries, TaylorPoly, evaluate_partial_sum
 from .special import EXP_CAP, ExponentCapError
 
 _NOISE_FLOOR = 1e-11  # relative size below which every table error is noise
-_SLOPE_SLACK = 0.3  # how far below N a passing table's slope may fall
 _EXP_FIT_RESIDUAL = 0.25  # largest rms log-residual of an exponential fit, per std
 
 
@@ -100,9 +99,6 @@ class ErrorTable:
     p: int
     slope: Optional[float]
     degenerate: bool
-
-    def passes(self) -> bool:
-        return self.degenerate or self.slope >= self.N - _SLOPE_SLACK
 
 
 def check_grid(x_grid: Sequence[float], sigma: int):

@@ -14,7 +14,8 @@ import pytest
 from scipy import integrate
 from scipy.special import gamma
 
-from cae.canard import angular_canard_value, canard_control_series, union_jack_c0
+from cae.canard import angular_canard_value, canard_control_series, union_jack_connection
+from cae.errors import InfeasibleError
 from cae.gevrey import borel_laplace_truncated, gevrey_fit, least_term_sum
 from cae.resonance import ResonanceCase, condition_check, riccati_leading_check, z0_polynomial
 from cae.series import (
@@ -44,7 +45,7 @@ def report(num: int, ok: bool, detail: str):
 
 def test_criterion_1_union_jack_value():
     t0 = time.perf_counter()
-    c0 = union_jack_c0(tol=1e-8)
+    c0 = union_jack_connection(tol=1e-8).value
     elapsed = time.perf_counter() - t0
     ok = abs(c0 - 0.3621759411) <= 1e-6 and elapsed < 30.0
     report(1, ok,
@@ -166,8 +167,9 @@ def test_criterion_6_obstruction_detection():
     out = outer_expansion(e1, 5)
     v1_ok = out.orders[1].coefficient(-3) == 1 and out.orders[1].pole_order == 3
     poles_ok = out.pole_orders[1:6] == tuple(5 * n - 2 for n in range(1, 6))
-    feas = dac_feasibility(out)
-    feas_ok = (not feas.passed) and feas.witness == 1
+    with pytest.raises(InfeasibleError) as feas:
+        dac_feasibility(out)
+    feas_ok = feas.value.n == 1
     # derived recursion oracle a_n = (1/4) sum a_k a_(n-k)
     a = [None, Fraction(1)]
     for n in range(2, 6):
@@ -178,7 +180,7 @@ def test_criterion_6_obstruction_detection():
     ok = v1_ok and poles_ok and feas_ok and lead_ok and leads[:4] == expected
     report(6, ok,
            f"v1 = x^-3; pole orders {out.pole_orders[1:6]} = 5n-2; "
-           f"feasibility fails at n={feas.witness} ({feas.message}); leading "
+           f"feasibility fails at n={feas.value.n} ({feas.value}); leading "
            f"coefficients {[str(l) for l in leads[:4]]} positive")
 
 

@@ -11,6 +11,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 from scipy.special import gamma
 
+from cae import canard
 from cae.errors import SeriesError
 from cae.series import TaylorPoly
 from cae.canard import (
@@ -18,7 +19,6 @@ from cae.canard import (
     canard_control_series,
     reduced_anchor_residual,
     union_jack_anchor_residual,
-    union_jack_c0,
     union_jack_connection,
     _uj_mismatch,
     _uj_tail,
@@ -33,7 +33,7 @@ KNOWN_C0_14 = 0.36217594111186  # the same to 14 digits
 
 @pytest.fixture(scope="module")
 def c0_at_floor_tol():
-    return union_jack_c0(tol=1e-12)
+    return union_jack_connection(tol=1e-12).value
 
 
 class TestUnionJack:
@@ -42,7 +42,7 @@ class TestUnionJack:
         assert res.value == pytest.approx(KNOWN_C0, abs=1e-6)
         assert abs(res.value - KNOWN_C0_14) <= 1e-8
         assert res.evaluations <= 10
-        assert res.mismatch == abs(_uj_mismatch(res.value))
+        assert res.mismatch == abs(_uj_mismatch(res.value, 1.0))
 
     def test_one_solve_per_evaluation(self, solve_spans):
         # both legs run as one system: a mismatch evaluation is one solve
@@ -71,31 +71,33 @@ class TestUnionJack:
     def test_zero_control_stays_below(self):
         # the shooting mismatch Y_fwd(0) - Y_bwd(0) changes sign across the
         # brentq brackets: [0, 1/2], and [-1/2, 0] for the mirror problem
-        assert _uj_mismatch(0.0) < 0 < _uj_mismatch(0.5)
+        assert _uj_mismatch(0.0, 1.0) < 0 < _uj_mismatch(0.5, 1.0)
         assert _uj_mismatch(-0.5, s=-1.0) < 0 < _uj_mismatch(0.0, s=-1.0)
 
     def test_mirror_value(self, c0_at_floor_tol):
-        cm = union_jack_c0(tol=1e-7, mirror=True)
+        cm = union_jack_connection(tol=1e-7, mirror=True).value
         assert cm == pytest.approx(-c0_at_floor_tol, abs=2e-7)
 
     def test_floor_tolerance_reference(self, c0_at_floor_tol):
         assert abs(c0_at_floor_tol - KNOWN_C0_14) < 1e-12
 
-    def test_x_far_independence(self, c0_at_floor_tol):
-        b = union_jack_c0(tol=1e-12, X_far=16.0)
+    def test_x_far_independence(self, c0_at_floor_tol, monkeypatch):
+        monkeypatch.setattr(canard, "_X_FAR", 16.0)
+        b = union_jack_connection(tol=1e-12).value
         assert abs(c0_at_floor_tol - b) < 1e-12
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-8, 1e-13])
     def test_bad_tolerance_rejected(self, tol):
         with pytest.raises(SeriesError):
-            union_jack_c0(tol=tol)
+            union_jack_connection(tol=tol)
 
     def test_anchor_residual(self):
         assert union_jack_anchor_residual(KNOWN_C0) < 1e-8
 
-    def test_connection_problem_record(self):
+    def test_connection_problem_record(self, monkeypatch):
         # the anchor still solves the equation farther out
-        assert union_jack_anchor_residual(KNOWN_C0, X_far=10.0) < 1e-8
+        monkeypatch.setattr(canard, "_X_FAR", 10.0)
+        assert union_jack_anchor_residual(KNOWN_C0) < 1e-8
 
 
 class TestAngular:
@@ -114,14 +116,17 @@ class TestAngular:
         slope = np.polyfit(np.log(eps_list), np.log(vals), 1)[0]
         assert slope == pytest.approx(2.0, abs=0.1)
 
-    def test_t_far_independence(self):
-        a = angular_canard_value(0.02, T_far=10.0)
-        b = angular_canard_value(0.02, T_far=16.0)
+    def test_t_far_independence(self, monkeypatch):
+        monkeypatch.setattr(canard, "_T_FAR", 10.0)
+        a = angular_canard_value(0.02)
+        monkeypatch.setattr(canard, "_T_FAR", 16.0)
+        b = angular_canard_value(0.02)
         assert abs(a - b) < 1e-10
 
-    def test_default_t_far_at_floor_tolerance(self):
+    def test_default_t_far_at_floor_tolerance(self, monkeypatch):
         a = angular_canard_value(0.028, tol=1e-12)
-        b = angular_canard_value(0.028, tol=1e-12, T_far=16.0)
+        monkeypatch.setattr(canard, "_T_FAR", 16.0)
+        b = angular_canard_value(0.028, tol=1e-12)
         assert abs(a - b) < 1e-13
 
     def test_tail_recursion_exact(self):

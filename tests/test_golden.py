@@ -3,7 +3,9 @@
 tests/golden/<case>.out holds the expected stdout of each case; a refactor
 that claims byte-identical output must keep them passing unchanged.  To
 record a deliberate output change, run
-``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+``PYTHONPATH=src python tests/test_golden.py CASE ...`` and review the diff:
+it rewrites only the named cases, or every case when none is named, and
+refuses a name that is not a case.
 """
 
 import sys
@@ -79,10 +81,14 @@ if __name__ == "__main__":
     import contextlib
     import io
 
-    for name, argv in sorted(CASES.items()):
+    names = sys.argv[1:] or sorted(CASES)
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        sys.exit(f"unknown cases: {', '.join(unknown)}")
+    for name in names:
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
-            rc = main(argv)
+            rc = main(CASES[name])
         if rc != 0:
             sys.exit(f"{name}: exit code {rc}")
         (GOLDEN / f"{name}.out").write_text(buf.getvalue())

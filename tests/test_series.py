@@ -291,6 +291,35 @@ class TestCalculus:
             assert g(X) == pytest.approx(fd, rel=1e-6, abs=1e-9)
         assert float(g.tail.coefficient(2)) == pytest.approx(0.5 * 3)
 
+    @pytest.mark.parametrize("term", [
+        BasisTerm("dawson", coef=3),
+        BasisTerm("exp_poly", p=2, coef=2, poly=TaylorPoly([1, -2, 0.5])),
+        BasisTerm("exp_poly", p=4, coef=-1, poly=TaylorPoly([0.25, 0, 1])),
+        BasisTerm("ell_prime", p=2, coef=3),
+        BasisTerm("ell_prime", p=4, coef=-2),
+    ], ids=["dawson", "exp_poly-p2", "exp_poly-p4", "ell_prime-p2", "ell_prime-p4"])
+    def test_closed_form_derivative_evaluators(self, term):
+        # the derivative of each closed-form layer against a centred
+        # difference of its value, |X| < 12 where no tail stands in
+        g = FastFn.from_basis([term]).derivative()
+        h = 1e-5
+        for X in (-3.0, -1.1, -0.3, 0.4, 2.5, 11.5):
+            fd = (term(X + h) - term(X - h)) / (2 * h)
+            assert g(X) == pytest.approx(fd, rel=1e-8, abs=1e-12), X
+
+    @pytest.mark.parametrize("p", [2, 4])
+    def test_ell_prime_values_and_tail(self, p):
+        term = BasisTerm("ell_prime", p=p, coef=Fraction(3, 2))
+        for X in (-2.0, 0.0, 0.5, 3.0):
+            assert term(X) == 1.5 * X ** (p - 1) / (X ** p + 1.0)
+        # the tail sum_j (-1)^j X^(-jp-1) beyond its last known term
+        tail = term.tail(3 * p)
+        assert [tail.coefficient(m) for m in range(1, 3 * p + 1)] == \
+            [Fraction(3, 2) * (-1) ** (m // p) if m % p == 1 else 0
+             for m in range(1, 3 * p + 1)]
+        for X in (5.0, -7.0):
+            assert abs(term(X) - tail.partial_sum(X)) <= 1.5 * abs(X) ** (-3 * p - 1)
+
     def test_evaluate_with_log(self):
         from cae.series import evaluate_with_log
 
@@ -339,6 +368,32 @@ class TestComposeLeft:
                [0, Fraction(1, 4), 0, Fraction(-1, 4)]
         # cross term lands at order 3: 2x*U^- -> slow -1 and fast 2*T U^-
         assert via_compose.slow[3] == TaylorPoly([-1])
+
+    def test_series_coefficients(self):
+        # TaylorPoly, FastFn and CombinedSeries coefficients, with eta
+        # shifts, against the sum of products built by hand
+        y = CombinedSeries(2, 5, slow=[TaylorPoly.zero(), TaylorPoly([0, 1])],
+                           fast=[FastFn.zero(), u_minus(), FastFn.from_tail([1], exact=True)])
+        a = TaylorPoly([Fraction(1, 3), 2])
+        f = FastFn.from_tail([Fraction(-1, 2), 0, 1], exact=True)
+        c = CombinedSeries(2, 7, slow=[TaylorPoly([1]), TaylorPoly([0, 0, 5])],
+                           fast=[FastFn.zero(), u_minus(2)])
+        out = compose_left({(1, 0): a, (0, 2): f, (2, 1): c}, y)
+        want = (multiply(CombinedSeries.from_slow(2, 5, [a]), y)
+                + CombinedSeries(2, 5, fast=[FastFn.zero(), FastFn.zero(), f])
+                + multiply(c.truncate(5), multiply(y, y)).shifted(1))
+        assert out.N == 5
+        for n in range(5):
+            assert out.slow[n] == want.slow[n], n
+            assert out.fast[n].tail == want.fast[n].tail, n
+        for x, eta in ((-0.4, 0.3), (-1.0, 0.5)):
+            assert evaluate_partial_sum(out, x, eta) == \
+                pytest.approx(evaluate_partial_sum(want, x, eta), abs=1e-14)
+
+    def test_series_coefficient_of_other_p_refused(self):
+        y = CombinedSeries(2, 3, slow=[TaylorPoly.zero(), TaylorPoly([1])])
+        with pytest.raises(SeriesError, match="mismatched p"):
+            compose_left({(1, 0): CombinedSeries.from_scalar(4, 3, 1)}, y)
 
     def test_eta0_term_rejected(self):
         y = CombinedSeries.from_scalar(2, 3, 1)
@@ -557,6 +612,21 @@ class TestStructure:
         doc = y.to_json()
         assert doc["slow"][0][0] == "1/3"
         assert CombinedSeries.from_json(doc).slow[0].coefficient(0) == Fraction(1, 3)
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_eta_shift(self, k):
+        # shifted(k) multiplies by eta^k: orders move up by k, those past
+        # N drop off, and partial sums gain the factor eta^k
+        y = example1_like_series(4)
+        z = y.shifted(k)
+        assert z.N == 4
+        for n in range(4):
+            src = n - k
+            assert z.slow[n] == (y.slow[src] if src >= 0 else TaylorPoly.zero())
+            assert z.fast[n] is (y.fast[src] if src >= 0 else FastFn.zero())
+        for x, eta in ((-0.5, 0.25), (0.0, 0.1)):
+            assert evaluate_partial_sum(z, x, eta) == pytest.approx(
+                eta ** k * evaluate_partial_sum(y, x, eta, max(0, 4 - k)), rel=1e-15, abs=0)
 
     def test_valuation_and_metric(self):
         y = CombinedSeries(2, 4, slow=[TaylorPoly.zero(), TaylorPoly([1])])

@@ -279,12 +279,12 @@ class TestSharedTailCache:
 
 class TestApplyJ:
     def test_zero_forcing(self):
-        u = apply_j(2, -1, 0.0)
+        u = apply_j(2, -1, lambda X: 0.0, Laurent.zero())
         xs = np.linspace(-7, 0, 11)
         assert max(abs(u(x)) for x in xs) < 1e-12
 
     def test_matches_eval_u(self):
-        u = apply_j(2, -1, 1.0)
+        u = apply_j(2, -1, lambda X: 1.0, Laurent([1]))
         for X in (-3.0, -2.0, -1.0, -0.3):
             assert u(X) == pytest.approx(eval_u(2, 1, -1, X), abs=1e-8)
 
@@ -304,7 +304,7 @@ class TestApplyJ:
             assert flow_residual(u, p, v) < 1e-7
 
     def test_plus_side(self):
-        u = apply_j(2, 1, 1.0)
+        u = apply_j(2, 1, lambda X: 1.0, Laurent([1]))
         for X in (3.0, 1.0):
             assert u(X) == pytest.approx(eval_u(2, 1, 1, X), abs=1e-8)
 
@@ -362,7 +362,7 @@ class TestApplyJ:
             raise AssertionError("the grid must not be stepped")
 
         monkeypatch.setattr(special, "_flow_spline", refuse)
-        u = apply_j(2, -1, 1.0)
+        u = apply_j(2, -1, lambda X: 1.0, Laurent([1]))
         assert u.domain == (-8.0, 0.0)
         with pytest.raises(DomainError, match=r"outside evaluator domain \[-8\.0, 0\.0\]"):
             u(-11.18)
@@ -379,7 +379,7 @@ class TestApplyJ:
 
     def test_tail_consistency(self):
         # |U(X) - partial_M(X)| <= 2|next term| well beyond the crossover
-        u = apply_j(2, -1, 1.0)
+        u = apply_j(2, -1, lambda X: 1.0, Laurent([1]))
         t = u_tail(2, 1, depth=14)
         terms = [(m, c) for m, c in enumerate(t.coeffs, start=1) if c != 0]
         for M in range(1, 6):

@@ -1,7 +1,6 @@
 """Turning-point engine tests: outer/inner recursions against exact
 oracles, feasibility diagnosis, matching assembly, closed forms."""
 
-import functools
 import itertools
 import math
 from fractions import Fraction
@@ -18,6 +17,7 @@ from cae.series import (
     evaluate_partial_sum,
 )
 from cae import special
+from cae.canard import canard_control_series
 from cae.cli import main
 from cae.turning import (
     ODESpec,
@@ -125,17 +125,17 @@ class TestOuterExpansion:
 
 class TestFeasibility:
     def test_example1_passes(self):
-        assert dac_feasibility(outer_expansion(EX1, 5)).passed
+        assert dac_feasibility(outer_expansion(EX1, 5)) is None
 
     def test_e1_fails_at_first_order(self):
-        f = dac_feasibility(outer_expansion(E1, 5))
-        assert not f.passed
-        assert (f.witness, f.pole, f.bound) == (1, 3, 1)
-        assert "pole order 3 at n=1 exceeds 1" in f.message
+        with pytest.raises(InfeasibleError,
+                           match=r"^pole order 3 at n=1 exceeds 1$") as exc:
+            dac_feasibility(outer_expansion(E1, 5))
+        assert (exc.value.n, exc.value.pole, exc.value.bound) == (1, 3, 1)
 
     def test_pole_free_passes(self):
         spec = ODESpec(p=2, h={(1, 0): 1})  # g = x: v_1 = -1/2, regular
-        assert dac_feasibility(outer_expansion(spec, 4)).passed
+        assert dac_feasibility(outer_expansion(spec, 4)) is None
 
 
 class TestInnerExpansion:
@@ -146,7 +146,7 @@ class TestInnerExpansion:
         assert w1.poly.is_zero()
         assert [w1.tail.coefficient(m) for m in range(1, 4)] == \
                [Fraction(-1, 2), 0, Fraction(1, 4)]
-        u = special.apply_j(2, -1, 1.0)
+        u = special.apply_j(2, -1, lambda X: 1.0, Laurent([1]))
         for X in (-3.0, -1.0):
             assert w1(X) == pytest.approx(u(X), abs=1e-8)
         # W_2 = -1/2 exactly
@@ -168,7 +168,7 @@ class TestInnerExpansion:
         spec = ODESpec(p=4, h={(1, 0): 3, (2, 0): 3}, control=True)
         inner = inner_expansion(spec, 4, -1, alphas=[alpha0, 0.0, 0.0])
         w1 = inner.coeff(1)  # forcing alpha0
-        u0 = special.apply_j(4, -1, alpha0)
+        u0 = special.apply_j(4, -1, lambda X: alpha0, Laurent([alpha0]))
         for X in (-2.0, -1.0):
             assert w1(X) == pytest.approx(u0(X), abs=1e-8)
         w2 = inner.coeff(2)  # forcing 3X
@@ -186,7 +186,7 @@ class TestInnerExpansion:
         spec = ODESpec(p=2, h={(0, 0): 1}, P={(0, 1, 1): 1})
         inner = inner_expansion(spec, 4, -1)
         w1 = inner.coeff(1)
-        u = special.apply_j(2, -1, 1.0)
+        u = special.apply_j(2, -1, lambda X: 1.0, Laurent([1]))
         for X in (-3.0, -1.5):
             assert w1(X) == pytest.approx(u(X), abs=1e-8)
         # order 3 picks up the U^2 forcing: oracle by direct flow solve
@@ -217,6 +217,20 @@ class TestInnerExpansion:
 
         with pytest.raises(UnsupportedExpansionError):
             inner_expansion(tame, 3, -1)
+
+    @pytest.mark.parametrize("p, j, depth", [(2, 0, 16), (4, 2, 24), (4, 2, 40)])
+    def test_reduced_tail_solves_the_equation(self, p, j, depth):
+        # Y' = p X^(p-1) Y + c + q X^j Y^2 with j + 1 = p - 1: the exact
+        # formal tail leaves no residual at any power it knows, however
+        # many passes the nonlinear term takes to settle
+        c = q = Fraction(1, 10)
+        spec = ODESpec(p=p, h={(0, 0): c}, P={(j, 1, 0): q})
+        u = inner_expansion(spec, 2, -1, depth=depth).coeff(1).ray.tail
+        assert u.low == -depth
+        resid = (u.derivative() - u.shift(p - 1).scale(p) - Laurent([c])
+                 - (u * u).shift(j).scale(q))
+        assert resid.low == p - 1 - depth
+        assert resid.is_zero(), resid
 
     def test_reduced_leading_ray_mpmath_oracle(self):
         # the dense ray of Y' = 2XY + 1/10 + Y^2/10 against mpmath's Taylor
@@ -304,8 +318,7 @@ class TestGridNativeFlow:
     def test_grid_refinement(self, spec, monkeypatch):
         # a 16x finer grid contains the same nodes
         coarse = inner_expansion(spec, 6, -1)
-        monkeypatch.setattr("cae.turning.apply_j",
-                            functools.partial(special.apply_j, grid_n=16 * 2047 + 1))
+        monkeypatch.setattr(special, "_GRID_N", 16 * 2047 + 1)
         fine = inner_expansion(spec, 6, -1)
         # rays step their grids on first evaluation, so the coarse ones are
         # stepped below, under the patch: record the size of every grid
@@ -617,7 +630,6 @@ class TestClosedForm:
 class TestControlExpansion:
     def test_quadratic_forcing(self):
         ce = control_expansion(TaylorPoly([0, 0, 1]), 2, 5)
-        assert ce.grading == "eps"
         assert list(ce.alphas) == [0, Fraction(-1, 2), 0, 0, 0]
         assert ce.ys[1] == TaylorPoly([0, Fraction(-1, 2)])
         # oracle: -gauss_moment(2,2,eps)/gauss_moment(2,0,eps) = -eps/2
@@ -649,11 +661,12 @@ class TestControlExpansion:
             rhs = ce.ys[n].derivative() - TaylorPoly([ce.alphas[n]])
             assert lhs == rhs
 
-    def test_delegation_for_higher_p(self):
-        ce = control_expansion(TaylorPoly([0, 3, 3]), 4, 5)
-        assert ce.grading == "eta"
-        from scipy.special import gamma
-        assert ce.alphas[2] == pytest.approx(-3 * gamma(0.75) / gamma(0.25), abs=1e-12)
+    @pytest.mark.parametrize("p", [4, 6])
+    def test_higher_p_refused(self, p):
+        # only p = 2 has the closed recursion; the moment method of the
+        # canard module is the one entry point for the other even p
+        with pytest.raises(SeriesError, match=r"canard\.canard_control_series"):
+            control_expansion(TaylorPoly([0, 3, 3]), p, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -784,15 +797,21 @@ class TestExactFloatAgreement:
         flt = closed_form_series(TaylorPoly([float(c) for c in g]), N)
         _assert_close(_float_twin(exact.to_json()), flt.to_json())
 
+    @given(st.lists(small_rationals, min_size=1, max_size=5), st.integers(1, 8))
+    @settings(max_examples=30, deadline=None)
+    def test_control_expansion(self, g, N):
+        exact = control_expansion(TaylorPoly(g), 2, N)
+        flt = control_expansion(TaylorPoly([float(c) for c in g]), 2, N)
+        _assert_close([float(a) for a in exact.alphas],
+                      [float(a) for a in flt.alphas])
+        _assert_close([[float(c) for c in y.coeffs] for y in exact.ys],
+                      [[float(c) for c in y.coeffs] for y in flt.ys])
+
     @given(st.lists(small_rationals, min_size=1, max_size=5),
            st.sampled_from((2, 4)), st.integers(1, 8))
     @settings(max_examples=30, deadline=None)
-    def test_control_expansion(self, g, p, N):
-        exact = control_expansion(TaylorPoly(g), p, N)
-        flt = control_expansion(TaylorPoly([float(c) for c in g]), p, N)
-        assert exact.grading == flt.grading
-        _assert_close([float(a) for a in exact.alphas],
-                      [float(a) for a in flt.alphas])
-        if p == 2:
-            _assert_close([[float(c) for c in y.coeffs] for y in exact.ys],
-                          [[float(c) for c in y.coeffs] for y in flt.ys])
+    def test_canard_control_series(self, g, p, N):
+        h = {(j, 0): c for j, c in enumerate(g)}
+        exact, flt = (canard_control_series(ODESpec(p=p, h=hh, control=True), N)
+                      for hh in (h, {k: float(c) for k, c in h.items()}))
+        _assert_close(exact, flt)
