@@ -912,7 +912,9 @@ def compose_left(P, y: CombinedSeries) -> CombinedSeries:
 
     ``P`` maps (j, k) to a coefficient (scalar, TaylorPoly, FastFn or
     CombinedSeries).  Requires val(y) >= 1 so the sum converges in the
-    valuation metric; the result is truncated at y.N.
+    valuation metric.  The result is truncated at y.N, or at the smallest
+    N of a CombinedSeries coefficient if that is smaller: its orders from
+    there on are unknown, and so are the result's.
     """
     if y.valuation() < 1:
         raise SeriesError("left composition requires a series without eta^0 term")

@@ -3,8 +3,7 @@
 Linear turning-point problems get their bounded solutions from stable
 quadrature (no stepping, no stiffness); everything else is integrated by
 ``_numerics.shoot``.  Error tables fit log-log slopes of sup-errors against
-the root parameter, and exponential-smallness fits recover the constants
-of exp(-A/eta**p) decay.
+the root parameter.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from .series import CombinedSeries, TaylorPoly, evaluate_partial_sum
 from .special import EXP_CAP, ExponentCapError
 
 _NOISE_FLOOR = 1e-11  # relative size below which every table error is noise
-_EXP_FIT_RESIDUAL = 0.25  # largest rms log-residual of an exponential fit, per std
 
 
 # ---------------------------------------------------------------------------
@@ -177,33 +175,3 @@ def error_scaling(
         ys = np.array([math.log(err) for _e, err in rows])
         slope = float(np.polyfit(xs, ys, 1)[0])
     return ErrorTable(tuple(rows), N, p, slope, degenerate)
-
-
-# ---------------------------------------------------------------------------
-# exponential smallness
-
-
-@dataclass(frozen=True)
-class ExpFit:
-    A: float
-    C: float
-    exponential: bool  # False means "not exponentially small"
-
-
-def exp_smallness_fit(values: Sequence, p: int) -> ExpFit:
-    """Fit |d| = C exp(-A / eta**p) through (eta, |d|) pairs by least
-    squares of log|d| against eta**-p.  A fitted A <= 0 (or a bad fit)
-    reports the data as not exponentially small."""
-    pts = [(float(e), float(d)) for e, d in values]
-    if len(pts) < 2:
-        raise SeriesError("need at least 2 points")
-    if any(d <= 0 for _e, d in pts):
-        raise SeriesError("differences must be positive")
-    xs = np.array([e ** (-p) for e, _d in pts])
-    ys = np.array([math.log(d) for _e, d in pts])
-    coef = np.polyfit(xs, ys, 1)
-    A = -float(coef[0])
-    C = math.exp(float(coef[1]))
-    resid = float(np.sqrt(np.mean((np.polyval(coef, xs) - ys) ** 2)))
-    ok = A > 0 and resid <= _EXP_FIT_RESIDUAL * max(1.0, float(np.std(ys)))
-    return ExpFit(A=A, C=C, exponential=ok)

@@ -16,7 +16,7 @@ from scipy.special import gamma
 
 from cae.canard import angular_canard_value, canard_control_series, union_jack_connection
 from cae.errors import InfeasibleError
-from cae.gevrey import borel_laplace_truncated, gevrey_fit, least_term_sum
+from cae.gevrey import gevrey_fit
 from cae.resonance import ResonanceCase, condition_check, riccati_leading_check, z0_polynomial
 from cae.series import (
     AsymTail,
@@ -36,6 +36,7 @@ from cae.turning import (
     outer_expansion,
 )
 from cae.validate import bounded_solution_quadrature, error_scaling
+from test_gevrey import _eta_norms, _outer_data, _remainders
 
 
 def report(num: int, ok: bool, detail: str):
@@ -239,15 +240,16 @@ def test_criterion_9_control_series_cross_oracle():
 
 
 def test_criterion_10_gevrey():
-    norms = [float(gamma(n / 2 + 1)) * 2.0 ** n for n in range(12)]
-    fit = gevrey_fit(norms, 2)
-    fit_ok = abs(fit.C - 1.0) <= 0.05 and abs(fit.L1 - 2.0) <= 0.1
-    coeffs = [(-1) ** n * float(gamma(n / 2 + 1)) for n in range(40)]
-    eta = 0.3
-    ls, n_star, least = least_term_sum(coeffs, 2, eta)
-    val = borel_laplace_truncated(coeffs, 2, 0.9, eta)
-    borel_ok = abs(val - ls) <= 2 * least
-    report(10, fit_ok and borel_ok,
-           f"gevrey_fit -> (C, L1) = ({fit.C:.4f}, {fit.L1:.4f}) within 5%; "
-           f"|borel - least-term| = {abs(val - ls):.2e} <= 2*least "
-           f"= {2 * least:.2e} (alternating Gamma series, eta = 0.3)")
+    # the divergent outer series of p2_exact at x = -1: its norms are
+    # Gevrey with L1 = 1/|x| per power of eta, and its optimal truncation
+    # is off the bounded solution by half the least term
+    _spec, v, _truth = _outer_data("p2_exact", -1.0)
+    fit = gevrey_fit(_eta_norms(v, 2), 2)
+    fit_ok = abs(fit.L1 - 1.0) <= 0.05
+    ratios = [r / least for _eps, r, least in _remainders("p2_exact", -1.0)]
+    half_ok = all(0.49 <= q <= 0.51 for q in ratios)
+    report(10, fit_ok and half_ok,
+           f"outer series of p2_exact at x = -1: gevrey_fit L1 = {fit.L1:.4f} "
+           f"within 5% of 1; remainder / least term = "
+           f"{', '.join(f'{q:.4f}' for q in ratios)} in [0.49, 0.51] "
+           f"(eps = 0.2, 0.1, 0.05)")

@@ -1,22 +1,24 @@
-"""Gevrey fitting and resummation tests."""
+"""Gevrey fitting and least-term summation: on synthetic sequences, and
+on the divergent outer series sum v_n(x) eps**n of the y-linear golden
+specs, whose sum is the bounded solution."""
 
+import functools
 import math
+from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 from scipy import integrate
 from scipy.special import gamma
 
-from cae.errors import SeriesError
-from cae.gevrey import (
-    GevreyFit,
-    borel_laplace_truncated,
-    borel_partial,
-    borel_radius_estimate,
-    gevrey_fit,
-    least_term_sum,
-    tail_compat_check,
-)
+from cae.cli import _load_spec, _truth_for
+from cae.errors import InsufficientTailError, SeriesError
+from cae.gevrey import gevrey_fit, least_term_sum
 from cae.special import u_tail
+from cae.turning import outer_expansion
+
+INPUTS = Path(__file__).parent / "golden" / "inputs"
 
 
 class TestGevreyFit:
@@ -57,58 +59,7 @@ class TestGevreyFit:
             gevrey_fit([1.0, 2.0, 3.0], 2)
 
 
-class TestTailCompat:
-    def test_synthetic_grid(self):
-        rows = [[float(gamma((n + m) / 2 + 1)) for m in range(1, 7)]
-                for n in range(5)]
-        tc = tail_compat_check(rows, 2)
-        assert tc.L1 == pytest.approx(1.0, rel=1e-9)
-        assert tc.L2 == pytest.approx(1.0, rel=1e-9)
-        assert tc.max_ratio == pytest.approx(1.0, rel=1e-9)
-
-    def test_single_row_reduces_to_fit(self):
-        mags = [float(gamma(m / 2 + 1)) * 1.2 ** m for m in range(1, 12)]
-        tc = tail_compat_check([mags], 2)
-        assert tc.L2 == pytest.approx(1.2, rel=1e-6)
-
-    def test_combined_series_tails(self):
-        # tails of the simple-turning-point series for a generic forcing
-        from cae.series import TaylorPoly
-        from cae.turning import closed_form_series
-
-        g = TaylorPoly([1.0, 0.5, -0.25, 2.0, 1.0 / 3])
-        cs = closed_form_series(g, 5, depth=6)
-        rows = []
-        for n in range(5):
-            t = cs.fast[n].tail
-            rows.append([abs(float(t.coefficient(m))) if t.known_to(m) else 0.0
-                         for m in range(1, 7)])
-        tc = tail_compat_check(rows, 2)
-        assert tc.max_ratio <= 1.5
-        assert all(v > 0 for v in (tc.C, tc.L1, tc.L2))
-
-
-class TestBorelLaplace:
-    def test_precondition_on_p(self):
-        with pytest.raises(SeriesError):
-            borel_laplace_truncated([1.0, 1.0, 1.0], 1, 0.5, 0.3)
-
-    def test_constant_series_incomplete_gamma(self):
-        # B = 1: value is 1 - exp(-(rho/eta)^p)
-        for eta in (0.5, 0.3, 0.2):
-            val = borel_laplace_truncated([1.0, 0.0, 0.0], 2, 0.8, eta)
-            assert val == pytest.approx(1.0 - math.exp(-(0.8 / eta) ** 2),
-                                        abs=1e-13)
-
-    def test_polynomial_reproduction(self):
-        # resumming the Borel transform of a polynomial in eta recovers it
-        # up to the exponential truncation error
-        coeffs = [0.3, -1.0, 0.7, 0.2]
-        p, rho, eta = 2, 0.9, 0.25
-        val = borel_laplace_truncated(coeffs, p, rho, eta)
-        direct = sum(c * eta ** n for n, c in enumerate(coeffs))
-        assert abs(val - direct) < 5 * math.exp(-(rho / eta) ** 2)
-
+class TestLeastTerm:
     def test_alternating_gamma_series_vs_least_term(self):
         coeffs = [(-1) ** n * float(gamma(n / 2 + 1)) for n in range(40)]
         eta = 0.3
@@ -121,49 +72,110 @@ class TestBorelLaplace:
             0, math.inf,
         )
         assert abs(full - ls) <= least
-        # with rho deep enough in the Borel disk the truncated transform
-        # stays within twice the least term of the optimal truncation
-        val = borel_laplace_truncated(coeffs, 2, 0.9, eta)
-        assert abs(val - ls) <= 2 * least
-        # at rho = 0.8 the Laplace truncation error dominates; the honest
-        # bound adds it explicitly
-        val08 = borel_laplace_truncated(coeffs, 2, 0.8, eta)
-        assert abs(val08 - ls) <= 2 * least + 2 * math.exp(-(0.8 / eta) ** 2)
-        assert abs(val08 - full) < 2 * math.exp(-(0.8 / eta) ** 2)
 
-    @pytest.mark.parametrize("p", [2, 4])
-    @pytest.mark.parametrize("L", [1.0, -2.0])
-    def test_mpmath_oracle(self, p, L):
-        # a_n = (-L)^n Gamma(n/p + 1), n < N: B(t) is the geometric sum
-        # (1 - (-L t)^N) / (1 + L t), alternating for L > 0 and with a pole
-        # at t = 1/|L| on the positive axis for L < 0; the oracle integrates
-        # that closed form at 30 digits
+    def test_unbracketed_least_term_refused(self):
+        # a smallest term with no nonzero term after it is not known to be
+        # the least one: [1, 0.5] sums to 1.5, not to the 1 before its last
+        # term, and 8 outer orders of p2_exact at x = -1, eps = 0.05 are
+        # still falling at n = 8, while 60 orders put the least term at 21
+        with pytest.raises(InsufficientTailError, match="n=1"):
+            least_term_sum([1.0, 0.5], 2, 1.0)
+        with pytest.raises(InsufficientTailError, match="n=1"):
+            least_term_sum([1.0, 0.5, 0.0], 2, 1.0)
+        spec = _load_spec(str(INPUTS / "p2_exact.json"))
+        with pytest.raises(InsufficientTailError, match="n=8"):
+            least_term_sum(_outer_values(spec, 8, -1), 1, 0.05)
+        _s, n_star, least = least_term_sum(_outer_values(spec, 60, -1), 1, 0.05)
+        assert n_star == 21 and least == pytest.approx(7.272e-11, rel=1e-3)
+
+    def test_zero_series(self):
+        assert least_term_sum([0.0, 0.0], 2, 0.5) == (0.0, 0, 0.0)
+
+
+def _outer_values(spec, N, x):
+    """[v_n(x)] for n = 0..N from the exact outer recursion."""
+    return [float(v(Fraction(x))) for v in outer_expansion(spec, N).orders]
+
+
+# (spec, x) and three eps from each, halving, over which the optimal
+# truncation index n* runs 6, 11, 21; the exponent of the remainder is
+# |x|**p / eps, so eps scales with |x|**p
+OUTER = {
+    ("p2_exact", -1.0): (0.2, 0.1, 0.05),
+    ("p2_exact", -0.5): (0.05, 0.025, 0.0125),
+    ("p4_exact", -1.0): (0.2, 0.1, 0.05),
+    ("p4_exact", -0.5): (0.0125, 0.00625, 0.003125),
+}
+
+
+@functools.cache
+def _outer_data(name, x):
+    """One golden spec, its outer coefficients v_0..v_60 at x and the
+    truth(x, eps) of its bounded solution."""
+    spec = _load_spec(str(INPUTS / f"{name}.json"))
+    return spec, _outer_values(spec, 60, x), _truth_for(spec, None, -1, [x])
+
+
+def _eta_norms(v, p):
+    """|v_n| at index p*n and 0 between: the norms of sum v_n eps**n read
+    as a series in eta = eps**(1/p)."""
+    norms = [0.0] * (p * (len(v) - 1) + 1)
+    norms[::p] = [abs(c) for c in v]
+    return norms
+
+
+@functools.cache
+def _remainders(name, x):
+    """[(eps, r, least)]: the remainder r of the optimal truncation against
+    the truth, and the least term, at each eps of OUTER."""
+    _spec, v, truth = _outer_data(name, x)
+    rows = []
+    for eps in OUTER[name, x]:
+        s, _n, least = least_term_sum(v, 1, eps)
+        rows.append((eps, abs(truth(x, eps) - s), least))
+    return rows
+
+
+@pytest.mark.parametrize("name, x", list(OUTER), ids=[f"{n}-x{x}" for n, x in OUTER])
+class TestOuterSeries:
+    """The Gevrey layer on the paper's own data: the outer series of a
+    y-linear spec at x < 0 diverges like n! / |x|**(p n) and is summed by
+    the bounded solution, its remainder exponentially small in |x|**p / eps."""
+
+    def test_gevrey_constant(self, name, x):
+        # L1 = 1/|x| per power of eta
+        spec, v, _truth = _outer_data(name, x)
+        fit = gevrey_fit(_eta_norms(v, spec.p), spec.p)
+        assert not fit.sub_gevrey
+        assert fit.L1 == pytest.approx(1 / abs(x), rel=0.05)
+
+    def test_half_least_term_remainder(self, name, x):
+        for eps, r, least in _remainders(name, x):
+            assert 0.49 <= r / least <= 0.51, (eps, r, least)
+
+    def test_exponent_of_the_remainder(self, name, x):
+        # r ~ C eps exp(-A/eps) with A = |x|**p
+        eps, r, _least = np.array(_remainders(name, x)).T
+        A = -np.polyfit(1 / eps, np.log(r / eps), 1)[0]
+        assert A == pytest.approx(abs(x) ** _outer_data(name, x)[0].p, rel=0.01)
+
+    def test_truth_against_mpmath(self, name, x):
+        # the pins above read remainders down to 7e-12 off the quadrature
+        # truth; 30-digit mpmath holds that truth to 1e-15
         mpmath = pytest.importorskip("mpmath")
-        mp = mpmath.mp
-        N = 24
-        coeffs = [float((-L) ** n * mpmath.gamma(mpmath.mpf(n) / p + 1))
-                  for n in range(N)]
-        for rho_frac, eta in ((0.9, 0.3), (0.5, 0.1), (0.8, 0.5)):
-            rho = rho_frac / abs(L)
-            with mpmath.workdps(30):
-                et = mpmath.mpf(eta)
-                B = lambda t: (1 - (-L * t) ** N) / (1 + L * t)
-                want = mp.quad(lambda t: mp.exp(-(t / et) ** p) * B(t)
-                               * p * t ** (p - 1) / et ** p,
-                               mpmath.linspace(0, rho, 5))
-            got = borel_laplace_truncated(coeffs, p, rho, eta)
-            assert got == pytest.approx(float(want), rel=1e-12), (rho, eta)
+        spec, _v, truth = _outer_data(name, x)
+        p = spec.p
+        with mpmath.workdps(30):
+            X = mpmath.mpf(x)
+            for eps in OUTER[name, x]:
+                e = mpmath.mpf(eps)
+                ell = e / (p * abs(X) ** (p - 1))  # width of the layer at x
 
-    def test_radius_guard(self):
-        coeffs = [(-1) ** n * float(gamma(n / 2 + 1)) for n in range(40)]
-        assert borel_radius_estimate(coeffs, 2) == pytest.approx(1.0, rel=1e-6)
-        with pytest.raises(SeriesError):
-            borel_laplace_truncated(coeffs, 2, 1.1, 0.3)
+                def f(s):
+                    t = X - s
+                    g = sum(mpmath.mpf(c.numerator) / c.denominator * t ** j * e ** l
+                            for (j, l), c in spec.h.items())
+                    return mpmath.exp((X ** p - t ** p) / e) * g
 
-    def test_borel_partial_values(self):
-        # the Borel transform of the alternating Gamma series is the
-        # geometric series in -t: compare against its partial sum exactly
-        coeffs = [(-1) ** n * float(gamma(n / 2 + 1)) for n in range(40)]
-        for t in (0.2, 0.5, 0.8):
-            want = (1.0 - (-t) ** 40) / (1.0 + t)
-            assert borel_partial(coeffs, 2, t) == pytest.approx(want, rel=1e-10)
+                want = mpmath.quad(f, [0] + [ell * 4 ** k for k in range(6)] + [mpmath.inf])
+                assert abs(truth(x, eps) - float(want)) <= 1e-15, eps

@@ -23,7 +23,6 @@ from scipy import integrate, optimize
 import cae
 from cae.canard import angular_canard_value
 from cae.errors import SeriesError
-from cae.gevrey import borel_laplace_truncated
 from cae.series import CombinedSeries, TaylorPoly, antiderivative
 from cae.turning import ODESpec, inner_expansion
 from cae.validate import bounded_solution_quadrature
@@ -105,11 +104,6 @@ def test_canard_solve_calls_solve_ivp_not_brentq(scipy_calls):
     assert scipy_calls["quad"] == 0
 
 
-def test_borel_laplace_calls_quad(scipy_calls):
-    borel_laplace_truncated([1.0, -1.0, 2.0], 2, 0.5, 0.3)
-    assert scipy_calls == {"quad": 1}
-
-
 def test_only_numerics_names_scipy_integration_or_quadrature():
     # every other module reaches scipy through _numerics, and solves an ODE
     # or a quadrature only through _numerics.shoot and _numerics.quad
@@ -151,7 +145,7 @@ _QUAD_RESULTS = {  # id suffix: (what quad returns, the refusal it causes)
 @pytest.mark.parametrize("site, result, match", [
     pytest.param(site, result, match, id=site + suffix)
     for suffix, (result, match) in _QUAD_RESULTS.items()
-    for site in ("truth", "borel_laplace", "antiderivative")])
+    for site in ("truth", "antiderivative")])
 def test_quadrature_refuses_a_large_error_estimate(monkeypatch, site, result,
                                                    match):
     """Every quadrature checks QUADPACK's value and error estimate: a value
@@ -162,8 +156,6 @@ def test_quadrature_refuses_a_large_error_estimate(monkeypatch, site, result,
         if site == "truth":
             bounded_solution_quadrature(TaylorPoly([0, 0, 1]),
                                         lambda t: 1.0 + t, 0.01, -0.5, -1)
-        elif site == "borel_laplace":
-            borel_laplace_truncated([1.0, -1.0, 2.0], 2, 0.5, 0.3)
         else:
             y = CombinedSeries(2, 2, fast=[u_minus()])
             antiderivative(y, 0)[0].fast[1](-2.0)

@@ -390,6 +390,15 @@ class TestComposeLeft:
             assert evaluate_partial_sum(out, x, eta) == \
                 pytest.approx(evaluate_partial_sum(want, x, eta), abs=1e-14)
 
+    def test_shorter_series_coefficient_truncates(self):
+        # a CombinedSeries coefficient known to N = 2 leaves the result's
+        # orders from 2 on unknown, so the result stops at 2, not at y.N
+        y = CombinedSeries(2, 5, slow=[TaylorPoly.zero(), TaylorPoly([0, 1])])
+        assert compose_left({(1, 0): 1}, y).N == 5
+        out = compose_left({(1, 0): 1, (0, 0): CombinedSeries.from_scalar(2, 2, 3)}, y)
+        assert out.N == 2
+        assert out.slow[0] == TaylorPoly([3]) and out.slow[1] == TaylorPoly([0, 1])
+
     def test_series_coefficient_of_other_p_refused(self):
         y = CombinedSeries(2, 3, slow=[TaylorPoly.zero(), TaylorPoly([1])])
         with pytest.raises(SeriesError, match="mismatched p"):

@@ -2,7 +2,6 @@
 
 import math
 import re
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -19,13 +18,11 @@ from cae.turning import (
     closed_form_series,
     combined_from_matching,
     inner_expansion,
-    outer_expansion,
 )
 from cae.validate import (
     bounded_solution_quadrature,
     check_grid,
     error_scaling,
-    exp_smallness_fit,
 )
 
 F2 = TaylorPoly([0, 0, 1])  # primitive x^2 of the field 2x
@@ -275,35 +272,3 @@ class TestNonlinearTruth:
             for x in grid:
                 y = float(ref(mpmath.mpf(float(x))))
                 assert abs(truth(x, eps) - y) <= 2e-14 * max(1.0, abs(y))
-
-
-class TestExpSmallness:
-    def test_synthetic_inversion(self):
-        pts = [(e, 3.0 * math.exp(-2.0 / e ** 2)) for e in (0.4, 0.35, 0.3, 0.25)]
-        fit = exp_smallness_fit(pts, 2)
-        assert fit.A == pytest.approx(2.0, rel=1e-6)
-        assert fit.C == pytest.approx(3.0, rel=1e-6)
-        assert fit.exponential
-
-    def test_constant_flagged(self):
-        pts = [(e, 0.37) for e in (0.4, 0.3, 0.25, 0.2)]
-        fit = exp_smallness_fit(pts, 2)
-        assert abs(fit.A) < 1e-12
-        assert not fit.exponential
-
-    def test_optimal_truncation_remainder_matches_relief_gap(self):
-        # |y_quad - optimally truncated outer sum| at x = -1/2 decays like
-        # exp(-A/eps) with A close to the relief value x^2 = 1/4
-        spec = ODESpec(p=2, h={(0, 0): 1, (1, 0): 1})
-        out = outer_expansion(spec, 40)
-        x0 = Fraction(-1, 2)
-        pts = []
-        for eps in (0.05, 0.04, 0.03, 0.025, 0.02):
-            truth = bounded_solution_quadrature(F2, lambda t: t + 1.0, eps, -0.5, -1)
-            terms = [float(out.orders[n](x0)) * eps ** n for n in range(1, 40)]
-            sizes = [abs(t) for t in terms]
-            n_star = sizes.index(min(sizes))
-            pts.append((math.sqrt(eps), abs(truth - sum(terms[:n_star]))))
-        fit = exp_smallness_fit(pts, 2)
-        assert fit.exponential
-        assert fit.A == pytest.approx(0.25, abs=0.08)
