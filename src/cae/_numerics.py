@@ -1,26 +1,34 @@
-"""The one door to scipy: its submodules, imported on first use, the one
-checked quadrature and the one ODE integrator.
+"""The one door to scipy, its submodules imported on first use, with the
+one checked quadrature; and the one ODE integrator, a Taylor method for
+polynomial right-hand sides that needs no scipy.
 
 Importing scipy costs more than some commands (``cae expand`` on a y-linear
-spec, ``cae resonance``, ``cae --help``) spend on their work, and they never
-call it.  So no other cae module imports scipy; each reads the submodule it
-needs as an attribute of this one, ``_numerics.integrate.solve_ivp(...)``,
-and the first read imports it.  Later reads find the module in this
-module's namespace and cost one attribute lookup.
+spec, ``cae resonance``, ``cae canard``, ``cae --help``) spend on their
+work, and they never call it.  So no other cae module imports scipy; each
+reads the submodule it needs as an attribute of this one,
+``_numerics.special.gamma(...)``, and the first read imports it.  Later
+reads find the module in this module's namespace and cost one attribute
+lookup.
 
-Look scipy functions up at call time, as above: a name bound once at import
-(``solve_ivp = _numerics.integrate.solve_ivp``) keeps pointing at the
-original after a tracer or a test replaces the function on the scipy module.
+Look functions up at call time, as above: a name bound once at import
+(``gamma = _numerics.special.gamma``) keeps pointing at the original after
+a tracer or a test replaces the function on its module.  The same holds
+for ``_numerics.shoot`` and ``_numerics.quad``.
 """
 
 import importlib
 import math
 import warnings
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import BlowupError, SeriesError
 
 _SUBMODULES = ("integrate", "interpolate", "special")
 _QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=300)
+_ORDER = 30  # Taylor order of every ``shoot`` step
+_STEP_TOL = 1e-16  # last two terms of a step, relative to max(1, |y|)
 
 
 def __getattr__(name: str):
@@ -50,17 +58,94 @@ def quad(f, a: float, b: float) -> float:
     return val
 
 
-def shoot(rhs, t0: float, t1: float, y0, dense: bool = False):
-    """The array y(t1) of the system dy/dt = rhs(t, y) through y0 at t0:
-    one DOP853 solve at rtol 1e-12, atol 1e-14, read at its last step end.
-    ``dense`` returns the whole solve_ivp result instead, its step ends
-    ``t``, ``y`` and its dense interpolant ``sol``, which costs three more
-    RHS evaluations per step, so an endpoint shot keeps none.  A failed
-    solve, as at a blowup, raises BlowupError where it stopped."""
-    integrate = __getattr__("integrate")
-    sol = integrate.solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=1e-12,
-                              atol=1e-14, **({"dense_output": True} if dense else {}))
-    if not sol.success:
-        raise BlowupError(f"shooting from {t0!r} toward {t1!r} failed",
-                          where=float(sol.t[-1]))
-    return sol if dense else sol.y[:, -1]
+class Dense(NamedTuple):
+    """The piecewise polynomial of a dense ``shoot``: on step i,
+    y(t[i] + s) = sum_k coeffs[i, k] s^k."""
+
+    t: np.ndarray  # the step ends, t[0] the start of the shot
+    coeffs: np.ndarray  # (steps, orders, batch)
+
+    def __call__(self, t) -> np.ndarray:
+        """y at the array t, of shape (len(t), batch), each point read on
+        the step that holds it by Horner's rule."""
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        d = 1.0 if self.t[-1] >= self.t[0] else -1.0
+        i = np.clip(np.searchsorted(d * self.t, d * t, side="right") - 1,
+                    0, len(self.coeffs) - 1)
+        return _horner(np.moveaxis(self.coeffs[i], 1, 0), (t - self.t[i])[:, None])
+
+    def derivative(self) -> "Dense":
+        """dy/dt, step by step."""
+        k = np.arange(1, self.coeffs.shape[1])[:, None]
+        return Dense(self.t, self.coeffs[:, 1:] * k)
+
+
+def _horner(C, s):
+    """sum_k C[k] s^k."""
+    acc = C[-1]
+    for c in C[-2::-1]:
+        acc = acc * s + c
+    return acc
+
+
+def _taylor(Q, nmax: int, y) -> np.ndarray:
+    """The coefficients Y[k], k <= _ORDER, of y(t + s) = sum_k Y[k] s^k for
+    dy/dt = sum_{n, i} Q[n, i] s^i y^n through y at s = 0.  P[n] holds the
+    coefficients of y^n, each order of it a Cauchy product of the one below
+    with y, so order k of the right-hand side needs only Y[0..k]."""
+    P = np.zeros((nmax + 1, _ORDER + 1, y.size))
+    P[0, 0], P[1, 0] = 1.0, y
+    for n in range(2, nmax + 1):
+        P[n, 0] = P[n - 1, 0] * y
+    Y, d = P[1], Q.shape[1] - 1
+    for k in range(_ORDER):
+        m = min(d, k)
+        f = (Q[:, :m + 1] * P[:, k - m:k + 1][:, ::-1]).sum(axis=(0, 1))
+        Y[k + 1] = f / (k + 1)
+        for n in range(2, nmax + 1):
+            P[n, k + 1] = (P[n - 1, :k + 2] * Y[k + 1::-1]).sum(axis=0)
+    return Y
+
+
+def shoot(terms, t0: float, stops, y0, dense: bool = False):
+    """The values, of shape (len(stops), batch), at each of ``stops`` of
+    the batch of scalar equations dy/dt = sum c t^j y^n over the monomial
+    table ``terms`` of (c, j, n), through y(t0) = y0; each c is a float or
+    an array over the batch, and ``stops`` run away from t0 in order.
+
+    A Taylor method of order ``_ORDER`` (Jorba and Zou, Experimental
+    Mathematics 14, 2005).  At a step start t the coefficients of y come
+    order by order, powers of y by Cauchy products and each t^j re-expanded
+    about t by binomials.  The step is the largest at which both of the last
+    two terms are at most ``_STEP_TOL`` max(1, |y|), cut to land on each
+    stop exactly, and the step end is read by Horner's rule.  ``dense``
+    returns the steps as a ``Dense`` instead.  Coefficients that overflow,
+    or a step too small to move t, as at a pole, raise BlowupError where
+    the solution got to."""
+    y = np.array(y0, dtype=float).reshape(-1)
+    nmax = max(1, max(n for _, _, n in terms))
+    dmax = max(j for _, j, _ in terms)
+    t, ends, steps, out = float(t0), [float(t0)], [], []
+    for stop in map(float, stops):
+        while t != stop:
+            # Q[n, i]: sum of c binom(j, i) t^(j - i) over the terms (c, j, n)
+            Q = np.zeros((nmax + 1, dmax + 1, y.size))
+            for c, j, n in terms:
+                for i in range(j + 1):
+                    Q[n, i] += c * (math.comb(j, i) * t ** (j - i))
+            with np.errstate(all="ignore"):
+                Y = _taylor(Q, nmax, y)
+                tol = _STEP_TOL * np.maximum(1.0, abs(y))
+                h = min(np.min((tol / abs(Y[k])) ** (1.0 / k))
+                        for k in (_ORDER - 1, _ORDER))
+                t_end = stop if h >= abs(stop - t) else t + math.copysign(h, stop - t)
+                y = _horner(Y, t_end - t)
+            if not (np.isfinite(Y).all() and np.isfinite(y).all()) or t_end == t:
+                raise BlowupError(f"shooting from {t0!r} toward {stop!r} "
+                                  f"blew up near {t!r}", where=t)
+            if dense:
+                ends.append(t_end)
+                steps.append(Y)
+            t = t_end
+        out.append(y)
+    return Dense(np.array(ends), np.array(steps)) if dense else np.array(out)

@@ -5,12 +5,15 @@ point.
 The connection problems are solved by shooting: each branch is anchored on
 its tail at +-``_X_FAR`` (or at T = ``_T_FAR``) and integrated toward
 X = 0 in the direction in which it attracts, by ``_numerics.shoot`` read at
-its endpoint; ``_root`` finds the root of the smooth mismatch at X = 0 in
+its endpoint; both right-hand sides are polynomials, passed as monomial
+tables.  ``_root`` finds the root of the smooth mismatch at X = 0 in
 rounds of one solve, each of all branches at a batch of values of c as one
 system.  Inward, an anchor error is damped like exp(-X^3/3) (Union Jack)
 or exp(-T^2/2) (angular), so with tails 8 terms deep the anchors sit close
-in, at X = 6 and T = 7, where the far field is only mildly stiff; results
-are independent of the anchors beyond that.  Both are read at call time.
+in, at X = 6 and T = 7, where the far field is only mildly stiff (a Taylor
+step there is about 3.5/|lambda| long, lambda = -X^2 on the decaying Union
+Jack leg); results are independent of the anchors beyond that.  Both are
+read at call time.
 """
 
 from __future__ import annotations
@@ -21,12 +24,12 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._numerics import shoot
+from . import _numerics
 from .errors import BlowupError, SeriesError
 from .special import gauss_moment
 from .turning import ODESpec, UnsupportedExpansionError, _g_polynomials
 
-_TOL_FLOOR = 1e-12  # finest root tolerance; the solves run at rtol 1e-12
+_TOL_FLOOR = 1e-12  # finest root tolerance, far above the shots' error
 _TAIL_TERMS = 8  # nonzero terms of both tail anchors
 _X_FAR = 6.0  # |X| of the Union Jack anchors
 _T_FAR = 7.0  # T of the angular anchor
@@ -140,18 +143,10 @@ def _uj_mismatch(c, s: float) -> np.ndarray:
     one system; the right-hand side is even in X, so Z' = -rhs(X, Z)."""
     c = np.atleast_1d(np.asarray(c, dtype=float))
     sign = np.repeat([1.0, -1.0], c.size)
-    shift = sign * np.concatenate([c, c])
-
-    def rhs(X, y):  # sign * union_jack_rhs(X, y, c), in place
-        out = y * y
-        out -= X * X
-        out *= y
-        out *= sign
-        out += shift
-        return out
-
+    # sign * union_jack_rhs(X, y, c): sign y^3 - sign X^2 y + sign c
+    terms = [(sign, 0, 3), (-sign, 2, 1), (sign * np.concatenate([c, c]), 0, 0)]
     y0 = np.concatenate([_uj_anchor(c, -_X_FAR), _uj_growing_anchor(c, s, _X_FAR)])
-    y = shoot(rhs, -_X_FAR, 0.0, y0)
+    y = _numerics.shoot(terms, -_X_FAR, [0.0], y0)[-1]
     return y[:c.size] - y[c.size:]
 
 
@@ -214,6 +209,14 @@ def reduced_anchor_residual(D: float) -> float:
                             partial(_reduced_anchor, D), _T_FAR)
 
 
+def _reduced_branch(D: np.ndarray) -> np.ndarray:
+    """V_d(0, D) at each value of the array D: the branch of
+    V' = T V + V^2 + D decaying at +infinity, shot from ``_T_FAR`` to 0,
+    every D as one system."""
+    terms = [(1.0, 1, 1), (1.0, 0, 2), (D, 0, 0)]
+    return _numerics.shoot(terms, _T_FAR, [0.0], _reduced_anchor(D, _T_FAR))[-1]
+
+
 def angular_canard_value(eps: float, tol: float = 1e-10) -> float:
     """Canard value c(eps) of the classical angular problem: the root of
 
@@ -242,15 +245,7 @@ def angular_canard_value(eps: float, tol: float = 1e-10) -> float:
     gp, gm = ((1.0 + 4.0 * e) ** 0.25 for e in (eps, -eps))
 
     def F(c):  # both V_d branches at every value of c as one system
-        D = np.concatenate([(c - dp) / gp ** 2, (c - dm) / gm ** 2])
-
-        def rhs(T, v):  # T v + v^2 + D, in place
-            out = v + T
-            out *= v
-            out += D
-            return out
-
-        v = shoot(rhs, _T_FAR, 0.0, _reduced_anchor(D, _T_FAR))
+        v = _reduced_branch(np.concatenate([(c - dp) / gp ** 2, (c - dm) / gm ** 2]))
         return gp * v[:c.size] + gm * v[c.size:]
 
     span = max(8.0 * eps * eps, 1e-5)

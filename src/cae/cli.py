@@ -17,8 +17,7 @@ import sys
 
 import numpy as np
 
-from . import __version__
-from ._numerics import shoot
+from . import __version__, _numerics
 from ._scalar import fmt17
 from .errors import BlowupError, CaeError, CompatibilityError, InfeasibleError
 from .series import CombinedSeries, TaylorPoly, evaluate_partial_sum
@@ -116,7 +115,7 @@ def _cmd_validate(args) -> int:
 
 def _truth_for(spec: ODESpec, series: CombinedSeries, sigma: int, x_grid):
     """truth(x, eps) over the grid points: quadrature for y-linear specs;
-    otherwise, per eps, DOP853 shots through the grid (see ``values``),
+    otherwise, per eps, one Taylor shot through the grid (see ``values``),
     where a blowup before a grid point raises BlowupError naming that
     point and eps."""
     F = TaylorPoly([0] * spec.p + [1])
@@ -137,21 +136,17 @@ def _truth_for(spec: ODESpec, series: CombinedSeries, sigma: int, x_grid):
 
     @functools.cache
     def values(eps):
-        """{x: truth} over the grid: launched from the series value beyond
-        the grid edge, one DOP853 shot to each grid point in turn, each
-        starting where the last one ended and read at its step end."""
-        rhs = _folded_rhs(spec, eps)
-        t, y = edge, [evaluate_partial_sum(series, edge, eps ** (1.0 / spec.p))]
-        out = {}
-        for x in stops:
-            try:
-                y = shoot(rhs, t, x, y)
-            except BlowupError as exc:
-                raise BlowupError(f"the truth blows up at x={exc.where:.6g}, before "
-                                  f"the grid point x={x!r}, at eps={eps!r}",
-                                  where=exc.where) from None
-            t, out[x] = x, float(y[0])
-        return out
+        """{x: truth} over the grid: one shot, launched from the series
+        value beyond the grid edge, that lands on every grid point."""
+        y0 = evaluate_partial_sum(series, edge, eps ** (1.0 / spec.p))
+        try:
+            y = _numerics.shoot(_folded_terms(spec, eps), edge, stops, [y0])[:, 0]
+        except BlowupError as exc:
+            x = next(x for x in stops if sigma * x < sigma * exc.where)
+            raise BlowupError(f"the truth blows up at x={exc.where:.6g}, before "
+                              f"the grid point x={x!r}, at eps={eps!r}",
+                              where=exc.where) from None
+        return dict(zip(stops, y.tolist()))
 
     return lambda x, eps: values(eps)[float(x)]
 
@@ -164,27 +159,16 @@ def _h_at(spec: ODESpec, eps: float) -> dict:
     return polys
 
 
-def _folded_rhs(spec: ODESpec, eps: float):
-    """dy/dt of eps y' = p t^(p-1) y + eps h(t, eps) + y P(t, y, eps) at
-    this eps, with every eps power and coefficient folded into one float
-    per monomial, once; y is the 1-array ``shoot`` passes."""
-    lin, m = spec.p / eps, spec.p - 1
-    g = tuple(_h_at(spec, eps).items())
-    nl = {}
+def _folded_terms(spec: ODESpec, eps: float) -> list:
+    """The monomial table (c, j, n) of dy/dt for eps y' = p t^(p-1) y +
+    eps h(t, eps) + y P(t, y, eps) at this eps, every eps power and
+    coefficient folded into one float per monomial."""
+    folded = {(spec.p - 1, 1): spec.p / eps}
+    for j, c in _h_at(spec, eps).items():
+        folded[j, 0] = folded.get((j, 0), 0.0) + c
     for (j, k, l), c in spec.P.items():
-        nl[j, k + 1] = nl.get((j, k + 1), 0.0) + float(c) * eps ** l / eps
-    nl = tuple((j, n, c) for (j, n), c in nl.items())
-
-    def rhs(t, y):
-        y = y.item()
-        val = lin * t ** m * y
-        for j, c in g:
-            val += c * t ** j
-        for j, n, c in nl:
-            val += c * t ** j * y ** n
-        return [val]
-
-    return rhs
+        folded[j, k + 1] = folded.get((j, k + 1), 0.0) + float(c) * eps ** l / eps
+    return [(c, j, n) for (j, n), c in folded.items()]
 
 
 def _cmd_special(args) -> int:

@@ -69,7 +69,7 @@ def gevrey_fit(norms: Sequence[float], p: int) -> GevreyFit:
     )
 
 
-def least_term_sum(coeffs: Sequence[float], p: int, eta: float):
+def least_term_sum(coeffs: Sequence[float], eta: float):
     """Optimal-truncation sum of sum a_n eta**n: stops right before the
     smallest term; returns (value, stop_index, least_term_size).
 

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._numerics import shoot
+from . import _numerics
 from ._scalar import is_exact, scalar_from_json, scalar_to_json
 from .errors import (
     BlowupError,
@@ -470,9 +470,9 @@ def _reduced_nonlinear_leading(spec: ODESpec, sigma: int,
                                depth: int) -> InnerCoeff:
     """Leading inner coefficient for a nonlinear reduced equation
     Y' = p X^(p-1) Y + c X^(r-1) + sum q_{jk} X^j Y^(k+1), shot inward from
-    its decaying tail by one dense ``shoot``.  |Y| >= 1e6 at a step end, or
-    a failed solve, is a blowup before the origin, reported with its
-    location."""
+    its decaying tail by one dense ``shoot``, whose Taylor steps serve
+    evaluation.  |Y| >= 1e6 at a step end, or a shot that blows up, is a
+    blowup before the origin, reported with its location."""
     p, r = spec.p, spec.r
     c = spec.h.get((r - 1, 0), 0)
     qterms = [
@@ -480,11 +480,8 @@ def _reduced_nonlinear_leading(spec: ODESpec, sigma: int,
         if l == 0 and j + r * k == p - 1
     ]
 
-    def rhs(X, y):
-        val = p * X ** (p - 1) * y + float(c) * X ** (r - 1)
-        for (j, k), cc in qterms:
-            val += float(cc) * X ** j * y ** (k + 1)
-        return val
+    terms = [(float(p), p - 1, 1), (float(c), r - 1, 0)]
+    terms += [(float(cc), j, k + 1) for (j, k), cc in qterms]
 
     # formal tail of the nonlinear solution, by the same fixed-point
     # inversion with the nonlinear terms folded in until it stops changing;
@@ -503,8 +500,8 @@ def _reduced_nonlinear_leading(spec: ODESpec, sigma: int,
 
     x0 = sigma * _x_far(p)
     try:
-        sol = shoot(rhs, x0, 0.0, [float(u(x0))], dense=True)
-        big = np.abs(sol.y[0]) >= _BLOWUP_CAP
+        sol = _numerics.shoot(terms, x0, [0.0], [float(u(x0))], dense=True)
+        big = np.abs(sol(sol.t)[:, 0]) >= _BLOWUP_CAP
         where = float(sol.t[np.argmax(big)]) if big.any() else None
     except BlowupError as exc:
         where = exc.where
@@ -513,8 +510,8 @@ def _reduced_nonlinear_leading(spec: ODESpec, sigma: int,
             f"reduced inner solution blows up at X={where:.6g} before the origin",
             where=where,
         )
-    fn = lambda X: sol.sol(X)[0]
-    ray = RayFn(fn=fn, dfn=lambda X: rhs(X, fn(X)),
+    dsol = sol.derivative()
+    ray = RayFn(fn=lambda X: sol(X)[:, 0], dfn=lambda X: dsol(X)[:, 0],
                 domain=(min(x0, 0.0), max(x0, 0.0)), tail=u)
     return InnerCoeff(poly=TaylorPoly.part(u).to_float(),
                       tail=AsymTail.part(u).to_float(), ray=ray)

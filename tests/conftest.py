@@ -1,19 +1,20 @@
 """Shared fixtures."""
 
 import pytest
-from scipy import integrate
+
+from cae import _numerics
 
 
 @pytest.fixture
 def solve_spans(monkeypatch) -> list:
-    """The (t0, t1) span of every solve_ivp call made through
-    ``scipy.integrate`` while the test runs."""
+    """The (t0, *stops) of every ``_numerics.shoot`` call while the test
+    runs."""
     spans = []
-    solve = integrate.solve_ivp
+    shoot = _numerics.shoot
 
-    def recording(fun, t_span, *args, **kwargs):
-        spans.append(tuple(t_span))
-        return solve(fun, t_span, *args, **kwargs)
+    def recording(terms, t0, stops, *args, **kwargs):
+        spans.append((t0, *stops))
+        return shoot(terms, t0, stops, *args, **kwargs)
 
-    monkeypatch.setattr(integrate, "solve_ivp", recording)
+    monkeypatch.setattr(_numerics, "shoot", recording)
     return spans

@@ -20,15 +20,19 @@ from cae.canard import (
     reduced_anchor_residual,
     union_jack_anchor_residual,
     union_jack_connection,
+    _reduced_anchor,
+    _reduced_branch,
+    _reduced_tail,
+    _uj_anchor,
+    _uj_growing_anchor,
     _uj_mismatch,
     _uj_tail,
-    _reduced_tail,
 )
 from cae.special import gauss_moment
 from cae.turning import ODESpec, UnsupportedExpansionError, control_expansion
 
 KNOWN_C0 = 0.3621759411  # reference connection constant, 10 digits
-KNOWN_C0_14 = 0.36217594111186  # the same to 14 digits
+KNOWN_C0_14 = 0.36217594111197  # the same to 14 digits
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +77,21 @@ class TestUnionJack:
         # brentq brackets: [0, 1/2], and [-1/2, 0] for the mirror problem
         assert _uj_mismatch(0.0, 1.0) < 0 < _uj_mismatch(0.5, 1.0)
         assert _uj_mismatch(-0.5, s=-1.0) < 0 < _uj_mismatch(0.0, s=-1.0)
+
+    @pytest.mark.parametrize("c", [0.0, KNOWN_C0, 0.5])
+    def test_mismatch_mpmath_oracle(self, c):
+        # both legs from the program's anchors at -+X_far, by mpmath's Taylor
+        # ODE solver at 25 digits; the growing leg in s = X_far - X
+        mpmath = pytest.importorskip("mpmath")
+        X = canard._X_FAR
+        with mpmath.workdps(25):
+            C = mpmath.mpf(c)
+            rhs = lambda X, Y: Y ** 3 - X * X * Y + C
+            fwd = mpmath.odefun(rhs, -X, mpmath.mpf(_uj_anchor(c, -X)))(0)
+            bwd = mpmath.odefun(lambda s, W: -rhs(X - s, W), 0,
+                                mpmath.mpf(_uj_growing_anchor(c, 1.0, X)))(X)
+            want = float(fwd - bwd)
+        assert abs(_uj_mismatch(c, 1.0)[0] - want) <= 1e-14
 
     def test_mirror_value(self, c0_at_floor_tol):
         cm = union_jack_connection(tol=1e-7, mirror=True).value
@@ -136,6 +155,20 @@ class TestAngular:
         assert w5 == w3 * (2 * D - 3)
         assert w7 == -(5 + 2 * w1) * w5 - w3 * w3
         assert len(_reduced_tail(D)) == 8
+
+    def test_branch_mpmath_oracle(self):
+        # V_d(0, D) at three D, one batched shot, against mpmath's Taylor ODE
+        # solver at 25 digits from the same anchor, in s = T_far - T
+        mpmath = pytest.importorskip("mpmath")
+        T, D = canard._T_FAR, np.array([-0.5, 2e-3, 0.5])
+        got = _reduced_branch(D)
+        for Di, v in zip(D, got):
+            with mpmath.workdps(25):
+                Dm = mpmath.mpf(Di)
+                ref = mpmath.odefun(lambda s, V: -((T - s) * V + V * V + Dm), 0,
+                                    mpmath.mpf(_reduced_anchor(Di, T)))
+                want = float(ref(T))
+            assert abs(v - want) <= 1e-15 * max(1.0, abs(want)), Di
 
     def test_reduced_anchor_residual(self):
         # at the D scale the solves actually visit

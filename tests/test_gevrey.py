@@ -63,7 +63,7 @@ class TestLeastTerm:
     def test_alternating_gamma_series_vs_least_term(self):
         coeffs = [(-1) ** n * float(gamma(n / 2 + 1)) for n in range(40)]
         eta = 0.3
-        ls, n_star, least = least_term_sum(coeffs, 2, eta)
+        ls, n_star, least = least_term_sum(coeffs, eta)
         assert least > 0 and 15 <= n_star <= 30
         # oracle: the true resummation (B(t) = 1/(1+t)) sits within about
         # half a least term of the optimal truncation
@@ -79,17 +79,17 @@ class TestLeastTerm:
         # term, and 8 outer orders of p2_exact at x = -1, eps = 0.05 are
         # still falling at n = 8, while 60 orders put the least term at 21
         with pytest.raises(InsufficientTailError, match="n=1"):
-            least_term_sum([1.0, 0.5], 2, 1.0)
+            least_term_sum([1.0, 0.5], 1.0)
         with pytest.raises(InsufficientTailError, match="n=1"):
-            least_term_sum([1.0, 0.5, 0.0], 2, 1.0)
+            least_term_sum([1.0, 0.5, 0.0], 1.0)
         spec = _load_spec(str(INPUTS / "p2_exact.json"))
         with pytest.raises(InsufficientTailError, match="n=8"):
-            least_term_sum(_outer_values(spec, 8, -1), 1, 0.05)
-        _s, n_star, least = least_term_sum(_outer_values(spec, 60, -1), 1, 0.05)
+            least_term_sum(_outer_values(spec, 8, -1), 0.05)
+        _s, n_star, least = least_term_sum(_outer_values(spec, 60, -1), 0.05)
         assert n_star == 21 and least == pytest.approx(7.272e-11, rel=1e-3)
 
     def test_zero_series(self):
-        assert least_term_sum([0.0, 0.0], 2, 0.5) == (0.0, 0, 0.0)
+        assert least_term_sum([0.0, 0.0], 0.5) == (0.0, 0, 0.0)
 
 
 def _outer_values(spec, N, x):
@@ -131,7 +131,7 @@ def _remainders(name, x):
     _spec, v, truth = _outer_data(name, x)
     rows = []
     for eps in OUTER[name, x]:
-        s, _n, least = least_term_sum(v, 1, eps)
+        s, _n, least = least_term_sum(v, eps)
         rows.append((eps, abs(truth(x, eps) - s), least))
     return rows
 

@@ -57,9 +57,11 @@ def _fresh(args):
      "--side", "plus"],
     ["expand", "--spec", str(INPUTS / "nl_p2_exact.json"), "--order", "8"],
     ["resonance", "--alpha", "1", "--beta", "2", "--p", "2"],
+    ["canard", "unionjack", "--tol", "1e-8"],
+    ["canard", "angular", "--eps", "0.01,0.02,0.04"],
     ["--help"],
 ], ids=["expand-exact", "expand-float", "expand-nonlinear", "resonance",
-        "help"])
+        "canard-unionjack", "canard-angular", "help"])
 def test_command_loads_no_scipy(argv):
     proc = _fresh(["-c", PROBE, json.dumps(argv)])
     assert proc.returncode == 0, proc.stderr
@@ -96,20 +98,21 @@ def test_linear_truth_calls_quad(scipy_calls):
     assert scipy_calls == {"quad": 1}
 
 
-def test_canard_solve_calls_solve_ivp_not_brentq(scipy_calls):
+def test_canard_calls_shoot_not_scipy(scipy_calls, solve_spans):
     angular_canard_value(0.02)
-    assert scipy_calls["brentq"] == 0
+    assert scipy_calls == {}
     # one batched solve per round: the first-round nodes, then refinement
-    assert 1 <= scipy_calls["solve_ivp"] <= 3
-    assert scipy_calls["quad"] == 0
+    assert 1 <= len(solve_spans) <= 3
 
 
 def test_only_numerics_names_scipy_integration_or_quadrature():
     # every other module reaches scipy through _numerics, and solves an ODE
-    # or a quadrature only through _numerics.shoot and _numerics.quad
+    # or a quadrature only through _numerics.shoot and _numerics.quad;
+    # shoot is cae's own, so no module, _numerics included, names solve_ivp
     banned = {"scipy", "integrate", "solve_ivp", "quad"}
     for path in sorted(Path(SRC, "cae").glob("*.py")):
         if path.name == "_numerics.py":
+            assert "solve_ivp" not in path.read_text()
             continue
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
@@ -128,11 +131,12 @@ def test_only_numerics_names_scipy_integration_or_quadrature():
             assert not names & banned, (path.name, node.lineno, names & banned)
 
 
-def test_reduced_nonlinear_leading_calls_solve_ivp_once(scipy_calls):
+def test_reduced_nonlinear_leading_calls_shoot_once(scipy_calls, solve_spans):
     tame = ODESpec(p=2, h={(0, 0): Fraction(1, 10)},
                    P={(0, 1, 0): Fraction(1, 10)})
     inner_expansion(tame, 2, -1)
-    assert scipy_calls == {"solve_ivp": 1}
+    assert scipy_calls == {}
+    assert solve_spans == [(-8.0, 0.0)]
 
 
 _QUAD_RESULTS = {  # id suffix: (what quad returns, the refusal it causes)

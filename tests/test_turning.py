@@ -480,10 +480,10 @@ class TestMatching:
         assert float(cs.fast[3].tail.coefficient(3)) == pytest.approx(-0.125, abs=1e-9)
         for eps, x0 in ((0.05, -1.5), (0.02, -1.0)):
             eta = math.sqrt(eps)
-            rhs = lambda x, y: (2 * x * y + eps + eps * y * y) / eps
+            terms = [(2 / eps, 1, 1), (1.0, 0, 0), (1.0, 0, 2)]  # (2xy + eps + eps y^2) / eps
             y0 = evaluate_partial_sum(cs, x0, eta, 5)
             approx = evaluate_partial_sum(cs, -0.4, eta, 5)
-            assert abs(shoot(rhs, x0, -0.4, [y0])[0] - approx) < 5 * eta ** 5
+            assert abs(shoot(terms, x0, [-0.4], [y0])[-1, 0] - approx) < 5 * eta ** 5
 
     def test_partial_sums_approximate_truth(self):
         # numeric: N-term sums against the bounded-solution quadrature

@@ -74,25 +74,26 @@ class TestOdeSolve:
     """``_numerics.shoot``, the one integrator, at its endpoint and dense."""
 
     def test_exponential(self):
-        sol = shoot(lambda t, y: y, 0.0, 1.0, [1.0], dense=True)
-        assert sol.y[0, -1] == pytest.approx(math.e, abs=1e-11)
-        assert sol.sol(0.5)[0] == pytest.approx(math.exp(0.5), abs=1e-11)
-        assert shoot(lambda t, y: y, 0.0, 1.0, [1.0])[0] == sol.y[0, -1]
+        sol = shoot([(1.0, 0, 1)], 0.0, [1.0], [1.0], dense=True)
+        assert sol(1.0)[0, 0] == pytest.approx(math.e, abs=1e-15)
+        assert sol(0.5)[0, 0] == pytest.approx(math.exp(0.5), abs=1e-15)
+        assert sol.derivative()(0.5)[0, 0] == pytest.approx(math.exp(0.5), abs=1e-14)
+        assert shoot([(1.0, 0, 1)], 0.0, [1.0], [1.0])[-1, 0] == sol(1.0)[0, 0]
 
     def test_invariant_zero_solution(self):
-        rhs = lambda X, Y: Y * (Y - X) * (Y + X)
-        assert abs(shoot(rhs, -10.0, 10.0, [0.0])[0]) < 1e-12
+        terms = [(1.0, 0, 3), (-1.0, 2, 1)]  # Y (Y - X) (Y + X)
+        assert abs(shoot(terms, -10.0, [10.0], [0.0])[-1, 0]) < 1e-12
 
     def test_reduced_connection_value_finite_negative(self):
         # V' = TV + V^2 + D inward from the tail start -D/T: for moderate D
         # the value at 0 is finite negative and stable under moving the
         # anchor out
         D = 0.5
-        rhs = lambda T, V: T * V + V * V + D
+        terms = [(1.0, 1, 1), (1.0, 0, 2), (D, 0, 0)]  # T V + V^2 + D
         vals = []
         for T_far in (10.0, 14.0):
             v0 = -D / T_far + (D - D * D) / T_far ** 3
-            vals.append(shoot(rhs, T_far, 0.0, [v0])[0])
+            vals.append(shoot(terms, T_far, [0.0], [v0])[-1, 0])
         assert vals[0] < 0 and math.isfinite(vals[0])
         assert vals[0] == pytest.approx(vals[1], abs=1e-6)
 
@@ -100,20 +101,19 @@ class TestOdeSolve:
         # at D = 1 the decaying branch of V' = TV + V^2 + D is exactly -1/T
         # (check: substitute).  T = sqrt(2) X, V = Y / sqrt(2) turns it into
         # the reduced equation Y' = 2XY + 2 + Y^2, whose decaying solution
-        # -1/X runs into the pole at the origin; the shooter alone reaches
-        # the origin there, so the |Y| cap of the reduced leading
-        # coefficient must flag it
+        # -1/X runs into the pole at the origin; rounding puts the computed
+        # pole just before it, where the Taylor coefficients overflow
         D = 1.0
         for T in (10.0, 3.0, 1.0):
             assert (-1.0 / T) ** 2 + T * (-1.0 / T) + D == pytest.approx(1.0 / T ** 2)
         pole = ODESpec(p=2, h={(0, 0): 2}, P={(0, 1, 0): 1})
         with pytest.raises(BlowupError, match=r"reduced inner solution blows up "
-                                              r"at X=-9\.\d+e-07 before the origin"):
+                                              r"at X=-1\.\d+e-10 before the origin"):
             inner_expansion(pole, 2, -1)
 
     def test_blowup_flagged(self):
         with pytest.raises(BlowupError) as exc:
-            shoot(lambda t, y: y * y, 0.0, 3.0, [1.0])
+            shoot([(1.0, 0, 2)], 0.0, [3.0], [1.0])
         assert exc.value.where == pytest.approx(1.0, abs=1e-4)
 
     def test_linear_problem_matches_quadrature(self):
@@ -121,9 +121,9 @@ class TestOdeSolve:
         eps = 0.5
         g = lambda t: t + 1.0
         y0 = bounded_solution_quadrature(F2, g, eps, -2.0, -1)
-        rhs = lambda x, y: (2.0 * x * y + eps * g(x)) / eps
+        terms = [(2.0 / eps, 1, 1), (1.0, 1, 0), (1.0, 0, 0)]  # (2xy + eps g) / eps
         want = bounded_solution_quadrature(F2, g, eps, -0.5, -1)
-        assert shoot(rhs, -2.0, -0.5, [y0])[0] == pytest.approx(want, rel=1e-10)
+        assert shoot(terms, -2.0, [-0.5], [y0])[-1, 0] == pytest.approx(want, rel=1e-10)
 
 
 EPS_GRID = [0.1, 0.05, 0.025, 0.0125]
@@ -252,23 +252,35 @@ class TestErrorScaling:
 
 
 class TestNonlinearTruth:
-    @pytest.mark.parametrize("eps", [0.08, 0.04, 0.02])
-    def test_mpmath_oracle(self, eps):
-        # the truth of the nonlinear golden table against mpmath's Taylor
-        # ODE solver at 25 digits, started from the same series value at
-        # x = -0.95, a quarter beyond the grid's outer edge
+    @staticmethod
+    def _against_odefun(lo, eps):
+        # the truth on lo:0:8 against mpmath's Taylor ODE solver at 25
+        # digits, started from the same series value a quarter beyond the
+        # grid's outer edge
         mpmath = pytest.importorskip("mpmath")
         spec = _load_spec(str(Path(__file__).parent / "golden" / "inputs"
                               / "nl_p2_exact.json"))
         series = combined_from_matching(spec, 4, -1)
-        grid = np.linspace(-0.7, 0.0, 8)
+        grid = np.linspace(lo, 0.0, 8)
         truth = _truth_for(spec, series, -1, grid)
-        y0 = evaluate_partial_sum(series, -0.95, math.sqrt(eps))
+        y0 = evaluate_partial_sum(series, lo - 0.25, math.sqrt(eps))
         with mpmath.workdps(25):
             e = mpmath.mpf(eps)
             # eps y' = 2x y + eps - x y^2 / 2
             ref = mpmath.odefun(lambda x, y: (2 * x * y + e - x * y * y / 2) / e,
-                                mpmath.mpf(-0.95), mpmath.mpf(y0))
+                                mpmath.mpf(lo - 0.25), mpmath.mpf(y0))
             for x in grid:
                 y = float(ref(mpmath.mpf(float(x))))
-                assert abs(truth(x, eps) - y) <= 2e-14 * max(1.0, abs(y))
+                assert abs(truth(x, eps) - y) <= 1e-15 * max(1.0, abs(y))
+
+    @pytest.mark.parametrize("eps", [0.08, 0.04, 0.02])
+    def test_mpmath_oracle(self, eps):
+        # the grid and eps of the nonlinear golden table
+        self._against_odefun(-0.7, eps)
+
+    def test_mpmath_oracle_smallest_eps(self):
+        # the smallest eps of the CLI tests, where the linear part is
+        # stiffest (p t / eps up to 120), on the grid whose shot starts at
+        # -0.75; from -1 the series would be read at X = -8.9, beyond the
+        # flow grid
+        self._against_odefun(-0.5, 0.0125)
