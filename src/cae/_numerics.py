@@ -1,6 +1,7 @@
 """The one door to scipy, its submodules imported on first use, with the
-one checked quadrature; and the one ODE integrator, a Taylor method for
-polynomial right-hand sides that needs no scipy.
+one checked quadrature; the one ODE integrator, a Taylor method for
+polynomial right-hand sides; and ``Dense``, the one piecewise polynomial,
+of dense shots and cubic-Hermite tables alike.  The last two need no scipy.
 
 Importing scipy costs more than some commands (``cae expand`` on a y-linear
 spec, ``cae resonance``, ``cae canard``, ``cae --help``) spend on their
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import BlowupError, SeriesError
 
-_SUBMODULES = ("integrate", "interpolate", "special")
+_SUBMODULES = ("integrate", "special")
 _QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=300)
 _ORDER = 30  # Taylor order of every ``shoot`` step
 _STEP_TOL = 1e-16  # last two terms of a step, relative to max(1, |y|)
@@ -59,25 +60,36 @@ def quad(f, a: float, b: float) -> float:
 
 
 class Dense(NamedTuple):
-    """The piecewise polynomial of a dense ``shoot``: on step i,
-    y(t[i] + s) = sum_k coeffs[i, k] s^k."""
+    """A piecewise polynomial in t, read in u = sign * t, which ascends
+    along the steps whichever way t runs: on step i,
+    y(t) = sum_k coeffs[k, i] (u - keys[i])^k.  A dense ``shoot`` returns
+    one, and so does ``hermite``."""
 
-    t: np.ndarray  # the step ends, t[0] the start of the shot
-    coeffs: np.ndarray  # (steps, orders, batch)
+    keys: np.ndarray  # u at each step start, then at the end of the last
+    sign: float  # +1.0 or -1.0
+    coeffs: np.ndarray  # (orders, batch, steps)
 
     def __call__(self, t) -> np.ndarray:
         """y at the array t, of shape (len(t), batch), each point read on
         the step that holds it by Horner's rule."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        d = 1.0 if self.t[-1] >= self.t[0] else -1.0
-        i = np.clip(np.searchsorted(d * self.t, d * t, side="right") - 1,
-                    0, len(self.coeffs) - 1)
-        return _horner(np.moveaxis(self.coeffs[i], 1, 0), (t - self.t[i])[:, None])
+        u = self.sign * np.atleast_1d(np.asarray(t, dtype=float))
+        i = np.searchsorted(self.keys[1:-1], u, side="right")  # end steps extend
+        return _horner(self.coeffs.take(i, axis=2), u - self.keys[i]).T
 
     def derivative(self) -> "Dense":
         """dy/dt, step by step."""
-        k = np.arange(1, self.coeffs.shape[1])[:, None]
-        return Dense(self.t, self.coeffs[:, 1:] * k)
+        k = np.arange(1, len(self.coeffs))[:, None, None]
+        return Dense(self.keys, self.sign, self.sign * k * self.coeffs[1:])
+
+
+def hermite(t: np.ndarray, y: np.ndarray, dy: np.ndarray) -> Dense:
+    """The piecewise cubic through the values y, with slopes dy, at the
+    ascending points t: one cubic-Hermite step between each two."""
+    h, d0, d1 = np.diff(t), dy[:-1], dy[1:]
+    slope = np.diff(y) / h
+    coeffs = np.stack([y[:-1], d0, (3.0 * slope - 2.0 * d0 - d1) / h,
+                       (d0 + d1 - 2.0 * slope) / (h * h)])
+    return Dense(np.asarray(t, dtype=float), 1.0, coeffs[:, None])
 
 
 def _horner(C, s):
@@ -148,4 +160,9 @@ def shoot(terms, t0: float, stops, y0, dense: bool = False):
                 steps.append(Y)
             t = t_end
         out.append(y)
-    return Dense(np.array(ends), np.array(steps)) if dense else np.array(out)
+    if not dense:
+        return np.array(out)
+    # u = sign * t ascends along the shot: order k of step i is sign^k Y[k]
+    sign = 1.0 if ends[-1] >= ends[0] else -1.0
+    coeffs = np.stack(steps, axis=2) * sign ** np.arange(_ORDER + 1)[:, None, None]
+    return Dense(sign * np.array(ends), sign, coeffs)

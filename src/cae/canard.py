@@ -77,7 +77,7 @@ def _root(F: Callable, nodes: np.ndarray, values: np.ndarray, tol: float):
     each call evaluates F at r and r +- tol/2 inside the bracket and
     narrows it to their first sign change (tol/2 wide once r is close
     enough; else r moves to the secant root).  F(c) is measured, never
-    interpolated."""
+    read off the interpolant."""
     a, fa, b, fb = _bracket(nodes, values)
     tol = max(tol, 8 * np.spacing(abs(a) + abs(b)))  # every round narrows
     roots = np.polynomial.Chebyshev.fit(nodes, values, len(nodes) - 1).roots()

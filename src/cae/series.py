@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from .errors import (
     CompatibilityError,
     InfeasibleError,
@@ -405,18 +407,18 @@ class BasisTerm:
                              for i in range(depth)])
         raise SeriesError(f"unknown basis kind {self.kind!r}")
 
-    def __call__(self, X):
+    def __call__(self, X):  # elementwise on arrays
         from . import special
 
-        if self.kind == "u":  # elementwise on arrays
-            return float(self.coef) * special.eval_u(self.p, self.k, self.sigma, X)
+        coef = float(self.coef)
+        if self.kind == "u":
+            return coef * special.eval_u(self.p, self.k, self.sigma, X)
         if self.kind == "exp_poly":
-            return self.coef * math.exp(-float(X) ** self.p) * self.poly(X)
+            return coef * np.exp(-X ** self.p) * self.poly.to_float()(X)
         if self.kind == "dawson":
-            return self.coef * float(_numerics.special.dawsn(X))
+            return coef * _numerics.special.dawsn(X)
         if self.kind == "ell_prime":
-            X = float(X)
-            return self.coef * X ** (self.p - 1) / (X ** self.p + 1.0)
+            return coef * X ** (self.p - 1) / (X ** self.p + 1.0)
         raise SeriesError(f"unknown basis kind {self.kind!r}")
 
     def to_json(self):
@@ -448,7 +450,7 @@ class FastFn:
     """A fast coefficient g(X): an asymptotic tail plus optional ways to
     evaluate it (a closed-form basis, an exact finite tail, or a raw
     evaluator; an evaluator built on a RayFn refuses points off its
-    grid)."""
+    grid).  Every way reads an array X elementwise."""
 
     tail: AsymTail = AsymTail.zero()
     basis: tuple = ()  # of BasisTerm
@@ -484,9 +486,9 @@ class FastFn:
         if self.evaluator is not None:
             return self.evaluator(X)
         if self.basis:
-            return math.fsum(float(t(X)) for t in self.basis)
+            return sum(t(X) for t in self.basis)
         if self.exact:
-            return self.tail.partial_sum(X)
+            return self.tail.to_float().partial_sum(X)
         raise MissingEvaluatorError("fast coefficient has no evaluator")
 
     def __add__(self, other: "FastFn") -> "FastFn":
@@ -502,7 +504,7 @@ class FastFn:
             return FastFn(tail, (*self.basis, *other.basis))
         if self.can_eval and other.can_eval:
             f, g = self, other
-            return FastFn(tail, (), lambda X: float(f(X)) + float(g(X)))
+            return FastFn(tail, (), lambda X: f(X) + g(X))
         return FastFn(tail)
 
     def scale(self, s) -> "FastFn":
@@ -510,8 +512,8 @@ class FastFn:
             return FastFn.zero()
         ev = None
         if self.evaluator is not None:
-            f = self.evaluator
-            ev = lambda X: s * f(X)
+            f, sf = self.evaluator, float(s)
+            ev = lambda X: sf * f(X)
         return FastFn(
             self.tail.scale(s),
             tuple(t.scale(s) for t in self.basis),
@@ -537,9 +539,8 @@ class FastFn:
         if self.exact:
             return FastFn(tail, (), None, exact=True)
         if self.can_eval:
-            f = self
-            g1f = float(g1)
-            return FastFn(tail, (), lambda X: X * float(f(X)) - g1f)
+            f, g1f = self, float(g1)
+            return FastFn(tail, (), lambda X: X * f(X) - g1f)
         return FastFn(tail)
 
     def derivative(self) -> "FastFn":
@@ -549,7 +550,7 @@ class FastFn:
             return FastFn(tail, (), None, exact=True)
         evs = [_basis_derivative_eval(t) for t in self.basis]
         if evs and None not in evs:
-            return FastFn(tail, (), lambda X: math.fsum(e(X) for e in evs))
+            return FastFn(tail, (), lambda X: sum(e(X) for e in evs))
         return FastFn(tail)
 
     def to_json(self):
@@ -585,37 +586,31 @@ class FastFn:
 def _basis_derivative_eval(t: BasisTerm):
     from . import special
 
+    coef = float(t.coef)
     if t.kind in ("u", "dawson"):
         # switch to the differentiated tail for large |X| to dodge the
         # cancellation between the two terms of the closed form
         dtail = t.tail(DEFAULT_TAIL_DEPTH + (4 if t.kind == "u" else 2)).derivative()
 
-        def ev(X, t=t, dtail=dtail):
-            if abs(X) >= 12.0:
-                return float(dtail.partial_sum(X))
+        def ev(X):
+            far = np.abs(X) >= 12.0
+            Xn = np.where(far, 0.0, X)
             if t.kind == "u":  # U' = p X^(p-1) U + X^(k-1)
-                u = special.eval_u(t.p, t.k, t.sigma, X)
-                return t.coef * (t.p * X ** (t.p - 1) * u + X ** (t.k - 1))
-            # D' = 1 - 2 X D
-            return t.coef * (1.0 - 2.0 * X * float(_numerics.special.dawsn(X)))
+                u = special.eval_u(t.p, t.k, t.sigma, Xn)
+                near = coef * (t.p * Xn ** (t.p - 1) * u + Xn ** (t.k - 1))
+            else:  # D' = 1 - 2 X D
+                near = coef * (1.0 - 2.0 * Xn * _numerics.special.dawsn(Xn))
+            return np.where(far, dtail.to_float().partial_sum(np.where(far, X, 12.0)), near)
 
         return ev
+    p = t.p
     if t.kind == "exp_poly":
-        def ev(X, t=t):
-            q = t.poly
-            dq = q.derivative()
-            return t.coef * math.exp(-float(X) ** t.p) * (
-                dq(X) - t.p * X ** (t.p - 1) * q(X)
-            )
-
-        return ev
+        q = t.poly
+        return lambda X: coef * np.exp(-X ** p) * (q.derivative().to_float()(X)
+                                                   - p * X ** (p - 1) * q.to_float()(X))
     if t.kind == "ell_prime":
-        def ev(X, t=t):
-            X = float(X)
-            num = (t.p - 1) * X ** (t.p - 2) * (X ** t.p + 1) - t.p * X ** (2 * t.p - 2)
-            return t.coef * num / (X ** t.p + 1) ** 2
-
-        return ev
+        return lambda X: (coef * ((p - 1) * X ** (p - 2) * (X ** p + 1) - p * X ** (2 * p - 2))
+                          / (X ** p + 1) ** 2)
     return None
 
 
@@ -1056,22 +1051,24 @@ def reconstruct_from_matching(
 
 
 def evaluate_partial_sum(y: CombinedSeries, x, eta, N: Optional[int] = None):
-    """sum_{n<N} (slow_n(x) + fast_n(x/eta)) * eta**n as a float."""
+    """sum_{n<N} (slow_n(x) + fast_n(x/eta)) * eta**n, elementwise for an
+    array x (a float for a scalar)."""
     if N is None:
         N = y.N
     if N > y.N:
         raise SeriesError(f"partial-sum order {N} beyond truncation {y.N}")
     if N < 0:
         raise SeriesError(f"partial-sum order {N} is negative")
+    x = np.asarray(x, dtype=float)
     X = x / eta
-    total = 0.0
+    total = np.zeros_like(x)
     for n in range(N):
-        v = float(y.slow[n](x)) if not y.slow[n].is_zero() else 0.0
+        v = y.slow[n].to_float()(x) if not y.slow[n].is_zero() else 0.0
         g = y.fast[n]
         if not g.is_zero():
-            v += float(g(X))
-        total += v * eta ** n
-    return total
+            v = v + g(X)
+        total = total + v * eta ** n
+    return total[()]
 
 
 def evaluate_with_log(y: CombinedSeries, log: LogComponent, x, eta, N=None):

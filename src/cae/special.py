@@ -132,22 +132,16 @@ def eval_u(p: int, k: int, sigma: int, X):
         raise SeriesError(f"k={k} outside 1..{p - 1}")
     if sigma not in (-1, 1):
         raise SeriesError("sigma must be -1 or +1")
-    X = float(X) if np.ndim(X) == 0 else np.asarray(X, dtype=float)
-    scalar = isinstance(X, float)  # plain-float checks keep scalar calls cheap
-    if not (math.isfinite(X) if scalar else np.isfinite(X).all()):
+    X = np.asarray(X, dtype=float)
+    if not np.isfinite(X).all():
         raise SeriesError(f"U_{k} needs a finite X, got {X}")
-    try:
-        x = abs(X) ** p
-    except OverflowError:  # a float past the double range; arrays give inf
-        x = math.inf
-    huge = x == math.inf
+    with np.errstate(over="ignore"):
+        x = np.abs(X) ** p
     growth = (sigma * X < 0) & bool(k % 2)
     over = growth & (x > EXP_CAP)
-    if over if scalar else over.any():
-        bad = np.asarray(X)[np.asarray(over)].flat[0]
-        raise ExponentCapError(
-            f"U_{k}^{'-' if sigma < 0 else '+'}({bad}) ~ exp(|X|^{p}) overflows"
-        )
+    if over.any():
+        raise ExponentCapError(f"U_{k}^{'-' if sigma < 0 else '+'}({X[over].flat[0]}) "
+                               f"~ exp(|X|^{p}) overflows")
     if p == 2:
         # U^- = (sqrt(pi)/2) erfcx(-X),  U^+ = -(sqrt(pi)/2) erfcx(X)
         val = -sigma * (0.5 * math.sqrt(math.pi) * _numerics.special.erfcx(sigma * X))
@@ -156,15 +150,14 @@ def eval_u(p: int, k: int, sigma: int, X):
         x, growth = np.atleast_1d(x, growth)
         val = np.empty_like(x)
         val[~growth] = _exp_gamma_upper(a, x[~growth])
-        if huge if scalar else huge.any():
-            # e^x Gamma(a, x) = x^(a-1) = |X|^(k-p) there, exactly
-            huge = np.atleast_1d(huge)
-            val[huge] = np.abs(np.atleast_1d(X)[huge]) ** (k - p)
+        # where x overflows, e^x Gamma(a, x) = x^(a-1) = |X|^(k-p), exactly
+        huge = x == np.inf
+        val[huge] = np.abs(np.atleast_1d(X)[huge]) ** (k - p)
         xg = x[growth]
         sf = _numerics.special
         val[growth] = np.exp(xg) * sf.gamma(a) * (1.0 + sf.gammainc(a, xg))
-        val = val.reshape(np.shape(X)) * ((-sigma if k % 2 else -1) / p)
-    return float(val) if scalar else val
+        val = val.reshape(X.shape) * ((-sigma if k % 2 else -1) / p)
+    return val[()]
 
 
 # ---------------------------------------------------------------------------
@@ -189,34 +182,35 @@ def gauss_moment(p: int, j: int, eps: float = 1.0) -> float:
 
 @dataclass(frozen=True)
 class RayFn:
-    """Evaluable function on (part of) a half-line.
+    """A function on (part of) a half-line, and its derivative, read
+    elementwise on arrays from the one-component ``_numerics.Dense`` that
+    ``build()`` returns on the first evaluation, and from that table's own
+    derivative.  ``tail`` is the formal expansion at the far end.  Points
+    are checked against ``domain`` first: an off-domain one raises
+    ``DomainError`` naming the first such X, before any table is built."""
 
-    ``fn``/``dfn`` evaluate the function and its derivative on ``domain``,
-    elementwise on arrays; ``tail`` is the formal expansion at the far
-    end of the half-line.  A point is checked against ``domain`` before
-    ``fn`` or ``dfn`` is called, so an off-domain point raises
-    ``DomainError`` even when they would first build their data (as the
-    rays of ``apply_j`` do, once).
-    """
-
-    fn: Callable
-    dfn: Callable
+    build: Callable[[], _numerics.Dense]
     domain: tuple
     tail: Optional[Laurent] = None
 
-    def _eval(self, f, X):
+    @functools.cached_property
+    def _tables(self) -> tuple:
+        table = self.build()
+        return table, table.derivative()
+
+    def _eval(self, X, order: int):
         lo, hi = self.domain
-        Xa = np.asarray(X, dtype=float)
-        if not ((lo - 1e-12 <= Xa) & (Xa <= hi + 1e-12)).all():
-            raise DomainError(f"X={X} outside evaluator domain [{lo}, {hi}]")
-        out = np.reshape(f(Xa.ravel()), Xa.shape)
-        return float(out) if out.ndim == 0 else out
+        X = np.asarray(X, dtype=float)
+        off = ~((lo - 1e-12 <= X) & (X <= hi + 1e-12))
+        if off.any():
+            raise DomainError(f"X={X[off].flat[0]} outside evaluator domain [{lo}, {hi}]")
+        return self._tables[order](X.ravel())[:, 0].reshape(X.shape)[()]
 
     def __call__(self, X):
-        return self._eval(self.fn, X)
+        return self._eval(X, 0)
 
     def derivative(self, X):
-        return self._eval(self.dfn, X)
+        return self._eval(X, 1)
 
 
 _GAUSS_T, _GAUSS_W = np.polynomial.legendre.leggauss(8)
@@ -234,35 +228,29 @@ def apply_j(p: int, sigma: int, v: Callable, v_series: Laurent,
             depth: int = TAIL_DEPTH) -> RayFn:
     """Unique polynomial-growth solution of dU/dX = p X**(p-1) U + v(X)
     on the sigma side, as a ray from sigma * _x_far(p) to 0; ``v_series``
-    is the formal expansion of the callable v at infinity, which anchors
-    the solution.
+    is the formal expansion of the array callable v at infinity, which
+    anchors the solution.
 
     The formal tail is derived here, and the grid size ``_GRID_N`` is read
-    here too.  The grid solution is stepped (see ``_flow_spline``)
-    the first time the ray or its derivative is evaluated, once per ray; a
-    caller that reads only the tail steps nothing, and a flow that
-    overflows raises ``BlowupError`` at that first evaluation.
+    here too.  The grid is stepped into a cubic-Hermite table (see
+    ``_flow_table``) the first time the ray or its derivative is read,
+    once per ray; a caller that reads only the tail steps nothing, and a
+    flow that overflows raises ``BlowupError`` at that first read.
     """
     _check_p(p)
     if sigma not in (-1, 1):
         raise SeriesError("sigma must be -1 or +1")
     u_series = tail_of_j_series(p, v_series, depth)
     x0 = sigma * _x_far(p)
-    points = _GRID_N
-    spline = functools.cache(lambda: _flow_spline(p, sigma, v, u_series, points))
-    return RayFn(
-        fn=lambda X: spline()[0](X),
-        dfn=lambda X: spline()[1](X),
-        domain=(min(x0, 0.0), max(x0, 0.0)),
-        tail=u_series,
-    )
+    return RayFn(functools.partial(_flow_table, p, sigma, v, u_series, _GRID_N),
+                 (min(x0, 0.0), max(x0, 0.0)), u_series)
 
 
-def _flow_spline(p: int, sigma: int, v_fn: Callable, u_series: Laurent,
-                 points: int) -> tuple:
-    """The flow solution of apply_j, as the cubic spline through its values
-    on ``points`` equally spaced points from sigma * _x_far(p) to 0, and
-    that spline's derivative.
+def _flow_table(p: int, sigma: int, v_fn: Callable, u_series: Laurent,
+                points: int) -> _numerics.Dense:
+    """The flow solution of apply_j as the cubic-Hermite table through its
+    values on ``points`` equally spaced points from sigma * _x_far(p) to 0,
+    with the slopes p X^(p-1) U + v(X) the equation gives them there.
 
     The solution is anchored at sigma * _x_far(p) with its tail and carried
     inward by the explicit solution of the flow,
@@ -272,8 +260,9 @@ def _flow_spline(p: int, sigma: int, v_fn: Callable, u_series: Laurent,
 
     whose factors are at most 1 on the way in (anchor error washes out).
     Each cell integral is 8-point Gauss-Legendre, on as many panels as keep
-    the exponent drop per panel at most 3; v is called once, on the array
-    of all nodes (a scalar result broadcasts).
+    the exponent drop per panel at most 3.  v is called once, on one flat
+    array of every panel's nodes and then the grid points (a scalar result
+    broadcasts).
     """
     x0 = sigma * _x_far(p)
     xs = np.linspace(x0, 0.0, points)
@@ -285,8 +274,9 @@ def _flow_spline(p: int, sigma: int, v_fn: Callable, u_series: Laurent,
     h = (xs[1] - xs[0]) / m[cell]
     lo = xs[cell] + part * h
     nodes = lo[:, None] + (0.5 * h)[:, None] * (1.0 + _GAUSS_T)
-    vals = np.broadcast_to(np.asarray(v_fn(nodes), dtype=float), nodes.shape)
-    weighted = np.exp(pw[cell + 1][:, None] - nodes ** p) * vals
+    vals = np.broadcast_to(np.asarray(v_fn(np.append(nodes, xs)), dtype=float),
+                           (nodes.size + points,))
+    weighted = np.exp(pw[cell + 1][:, None] - nodes ** p) * vals[:nodes.size].reshape(nodes.shape)
     panel = 0.5 * h * (weighted @ _GAUSS_W)
     forced = np.bincount(cell, weights=panel, minlength=points - 1)
     decay = np.exp(np.diff(pw))
@@ -298,39 +288,32 @@ def _flow_spline(p: int, sigma: int, v_fn: Callable, u_series: Laurent,
     if not np.isfinite(us).all():
         raise BlowupError("flow values overflowed",
                           where=float(xs[np.argmin(np.isfinite(us))]))
+    slopes = p * xs ** (p - 1) * us + vals[nodes.size:]
     # ascending knots
-    spline = _numerics.interpolate.CubicSpline(xs[::-sigma], us[::-sigma])
-    return spline, spline.derivative()
+    return _numerics.hermite(xs[::-sigma], us[::-sigma], slopes[::-sigma])
 
 
 def flow_residual(u: RayFn, p: int, v_fn: Callable) -> float:
     """max |U'(X) - p X^(p-1) U(X) - v(X)| / (1 + |v(X)|) over a grid of
-    the stored domain (spline derivative versus the defining equation)."""
+    the stored domain, all read on one array: the derivative of the ray's
+    table against the defining equation."""
     lo, hi = u.domain
     pad = 0.02 * (hi - lo)
     xs = np.linspace(lo + pad, hi - pad, _RESIDUAL_POINTS)
-    worst = 0.0
-    for X in xs:
-        r = abs(u.derivative(X) - p * X ** (p - 1) * u(X) - float(v_fn(X)))
-        worst = max(worst, r / (1.0 + abs(float(v_fn(X)))))
-    return worst
+    v = v_fn(xs)
+    return (np.abs(u.derivative(xs) - p * xs ** (p - 1) * u(xs) - v)
+            / (1.0 + np.abs(v))).max()
 
 
 # ---------------------------------------------------------------------------
 # decaying antiderivatives of fast coefficients
 
 
-def decaying_antiderivative(g, g1: float, p: int, X) -> float:
+def decaying_antiderivative(g, g1: float, p: int, X):
     """H(X) = integral from sigma*inf to X of (g(T) - g1 * ell'(T)) dT with
-    ell'(T) = T^(p-1)/(T^p+1), the branch vanishing at infinity on X's side."""
+    ell'(T) = T^(p-1)/(T^p+1), the branch vanishing at infinity on X's
+    side; elementwise for an array X, one quadrature per point."""
     g1 = float(g1)
-
-    def f(T):
-        val = float(g(T))
-        if g1 != 0.0:
-            val -= g1 * T ** (p - 1) / (T ** p + 1.0)
-        return val
-
-    if X >= 0:
-        return -_numerics.quad(f, X, np.inf)
-    return _numerics.quad(f, -np.inf, X)
+    f = lambda T: g(T) - g1 * T ** (p - 1) / (T ** p + 1.0) if g1 != 0.0 else g(T)
+    return np.vectorize(lambda X: -_numerics.quad(f, X, np.inf) if X >= 0
+                        else _numerics.quad(f, -np.inf, X), otypes=[float])(X)

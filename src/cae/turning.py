@@ -16,6 +16,7 @@ the first order that leaves it, exactly when they do not.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -309,19 +310,22 @@ class InnerCoeff:
     def formal(self) -> Laurent:
         return self.poly + self.tail
 
+    @functools.cached_property
+    def _float_poly(self) -> TaylorPoly:
+        return self.poly.to_float()
+
     def __call__(self, X):
         """W_n(X), elementwise for an array X."""
         if self.ray is not None:
             return self.ray(X)
-        val = self.poly.to_float()(X) + sum(t(X) for t in self.basis)
-        return float(val) if np.ndim(val) == 0 else val
+        return self._float_poly(X) + sum(t(X) for t in self.basis)
 
     def fast_part(self) -> FastFn:
         """W_n minus its polynomial part, as an evaluable fast coefficient."""
-        poly, ray = self.poly, self.ray
-        if ray is None:
+        if self.ray is None:
             return FastFn(self.tail, self.basis, exact=not self.basis)
-        return FastFn(self.tail, (), lambda X: ray(X) - float(poly(X)))
+        poly, ray = self._float_poly, self.ray
+        return FastFn(self.tail, (), lambda X: ray(X) - poly(X))
 
 
 @dataclass(frozen=True)
@@ -434,22 +438,23 @@ def inner_expansion(
         if not extra_terms:
             coeffs[r + m] = _solve_linear_order(p, sigma, g_poly, depth)
             continue
-        factors = [[coeffs[r + i] for i in combo] for (_, _, combo) in extra_terms]
+        lower = {i: coeffs[r + i] for _, _, combo in extra_terms for i in combo}
 
-        def v_fn(X, g_poly=g_poly.to_float(), extra=extra_terms, facs=factors):
+        def v_fn(X, g_poly=g_poly.to_float(), extra=extra_terms, lower=lower):
+            W = {i: w(X) for i, w in lower.items()}  # each order read once
             val = g_poly(X)
-            for (c, j, _), fl in zip(extra, facs):
+            for c, j, combo in extra:
                 prod = float(c) * X ** j
-                for f in fl:
-                    prod = prod * f(X)
+                for i in combo:
+                    prod = prod * W[i]
                 val = val + prod
             return val
 
         v_formal = Laurent.part(g_poly)
-        for (c, j, _), fl in zip(extra_terms, factors):
+        for c, j, combo in extra_terms:
             term = Laurent([c], j)
-            for f in fl:
-                term = term * f.formal
+            for i in combo:
+                term = term * lower[i].formal
             v_formal = v_formal + term
         ray = apply_j(p, sigma, v_fn, v_series=v_formal, depth=depth)
         coeffs[r + m] = InnerCoeff(poly=TaylorPoly.part(ray.tail).to_float(),
@@ -501,8 +506,9 @@ def _reduced_nonlinear_leading(spec: ODESpec, sigma: int,
     x0 = sigma * _x_far(p)
     try:
         sol = _numerics.shoot(terms, x0, [0.0], [float(u(x0))], dense=True)
-        big = np.abs(sol(sol.t)[:, 0]) >= _BLOWUP_CAP
-        where = float(sol.t[np.argmax(big)]) if big.any() else None
+        ends = sol.sign * sol.keys
+        big = np.abs(sol(ends)[:, 0]) >= _BLOWUP_CAP
+        where = float(ends[np.argmax(big)]) if big.any() else None
     except BlowupError as exc:
         where = exc.where
     if where is not None:
@@ -510,11 +516,8 @@ def _reduced_nonlinear_leading(spec: ODESpec, sigma: int,
             f"reduced inner solution blows up at X={where:.6g} before the origin",
             where=where,
         )
-    dsol = sol.derivative()
-    ray = RayFn(fn=lambda X: sol(X)[:, 0], dfn=lambda X: dsol(X)[:, 0],
-                domain=(min(x0, 0.0), max(x0, 0.0)), tail=u)
-    return InnerCoeff(poly=TaylorPoly.part(u).to_float(),
-                      tail=AsymTail.part(u).to_float(), ray=ray)
+    return InnerCoeff(poly=TaylorPoly.part(u).to_float(), tail=AsymTail.part(u).to_float(),
+                      ray=RayFn(lambda: sol, (min(x0, 0.0), max(x0, 0.0)), u))
 
 
 # ---------------------------------------------------------------------------

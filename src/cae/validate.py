@@ -147,21 +147,19 @@ def error_scaling(
         raise SeriesError("eps values must be strictly decreasing")
     if eps_list[0] / eps_list[-1] < 4:
         raise SeriesError("eps values must span at least a factor 4")
-    p = series.p
+    p, xs = series.p, np.asarray(x_grid, dtype=float)
     rows = []
     scale = 1.0
     for eps in eps_list:
-        eta = eps ** (1.0 / p)
-        worst = 0.0
-        for x in x_grid:
-            t = float(truth(x, eps))
-            s = evaluate_partial_sum(series, x, eta, N)
-            if not (math.isfinite(t) and math.isfinite(s)):
-                raise SeriesError(f"non-finite value at x={float(x)!r}, eps={eps!r}: "
-                                  f"truth {t}, partial sum {s}")
-            scale = max(scale, abs(t))
-            worst = max(worst, abs(s - t))
-        rows.append((eps, worst))
+        t = np.array([truth(x, eps) for x in x_grid], dtype=float)
+        s = evaluate_partial_sum(series, xs, eps ** (1.0 / p), N)
+        bad = ~(np.isfinite(t) & np.isfinite(s))
+        if bad.any():
+            i = np.argmax(bad)
+            raise SeriesError(f"non-finite value at x={float(xs[i])!r}, eps={eps!r}: "
+                              f"truth {t[i]}, partial sum {s[i]}")
+        scale = max(scale, np.abs(t).max())
+        rows.append((eps, float(np.abs(s - t).max())))
 
     floor = _NOISE_FLOOR * scale
     degenerate = all(err <= floor for _eps, err in rows)

@@ -77,6 +77,17 @@ def test_numeric_command_in_fresh_interpreter(name):
     assert proc.stdout == (GOLDEN / f"{name}.out").read_text()
 
 
+def test_nonlinear_validate_loads_no_interpolate():
+    # apply_j rays are cubic-Hermite tables of cae's own: the nonlinear
+    # validate golden, the one that reads them, loads scipy.special alone
+    proc = _fresh(["-c", PROBE, json.dumps(CASES["validate_nl_p2_exact"])])
+    assert proc.returncode == 0, proc.stderr
+    rc, loaded = json.loads(proc.stdout)
+    assert rc == 0
+    assert "scipy.special" in loaded
+    assert not [m for m in loaded if m.startswith("scipy.interpolate")]
+
+
 @pytest.fixture
 def scipy_calls(monkeypatch) -> collections.Counter:
     """Calls of scipy's quad, solve_ivp and brentq while the test runs,

@@ -7,6 +7,7 @@ tests themselves (direct numeric evaluation, quadrature, closed forms).
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
@@ -38,7 +39,7 @@ from cae.errors import (
     NonDifferentiableError,
     SeriesError,
 )
-from cae import special
+from cae import _numerics, special
 
 U_MINUS_TAIL = [Fraction(-1, 2), 0, Fraction(1, 4), 0, Fraction(-3, 8), 0, Fraction(15, 16), 0]
 
@@ -583,8 +584,10 @@ class TestEvaluate:
     def test_domain_violation_rejected(self):
         from cae.errors import DomainError
 
-        ray = special.RayFn(fn=lambda X: 1.0 / X, dfn=lambda X: -1.0 / X ** 2,
-                            domain=(-8.0, 0.0))
+        # the table of X/16 on [-8, 0]
+        line = _numerics.hermite(np.array([-8.0, 0.0]), np.array([-0.5, 0.0]),
+                                 np.array([0.0625, 0.0625]))
+        ray = special.RayFn(lambda: line, domain=(-8.0, 0.0))
         g = FastFn(AsymTail([1.0]), (), ray)
         y = CombinedSeries(2, 1, fast=[g])
         assert evaluate_partial_sum(y, -0.4, 0.1) == pytest.approx(-0.25)

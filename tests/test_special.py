@@ -318,10 +318,10 @@ class TestApplyJ:
         u = apply_j(4, -1, v, v_series=Laurent([1, 1]))
         assert calls == []  # the grid is stepped on first evaluation
         u(-1.0)
-        assert len(calls) == 1 and len(calls[0]) == 2
-        # 2047 cells, 8 Gauss-Legendre nodes each: at the default X_far no
-        # cell needs splitting
-        assert calls[0] == (2047, 8)
+        assert len(calls) == 1
+        # one flat array: 2047 cells, 8 Gauss-Legendre nodes each (at the
+        # default X_far no cell needs splitting), then the 2048 grid points
+        assert calls[0] == (2047 * 8 + 2048,)
         assert flow_residual(u, 4, v) < 1e-8
 
     def test_grid_stepped_once_on_first_evaluation(self, monkeypatch):
@@ -329,10 +329,10 @@ class TestApplyJ:
 
         def counting(*args):
             steps.append(args)
-            return flow_spline(*args)
+            return flow_table(*args)
 
-        flow_spline = special._flow_spline
-        monkeypatch.setattr(special, "_flow_spline", counting)
+        flow_table = special._flow_table
+        monkeypatch.setattr(special, "_flow_table", counting)
         u = apply_j(2, -1, lambda X: 1.0 + X, v_series=Laurent([1, 1]))
         assert steps == []
         first = u(-1.0)
@@ -361,13 +361,32 @@ class TestApplyJ:
         def refuse(*args):
             raise AssertionError("the grid must not be stepped")
 
-        monkeypatch.setattr(special, "_flow_spline", refuse)
+        monkeypatch.setattr(special, "_flow_table", refuse)
         u = apply_j(2, -1, lambda X: 1.0, Laurent([1]))
         assert u.domain == (-8.0, 0.0)
         with pytest.raises(DomainError, match=r"outside evaluator domain \[-8\.0, 0\.0\]"):
             u(-11.18)
-        with pytest.raises(DomainError):
-            u.derivative(np.array([-1.0, 0.5]))
+        # on an array, the message names the first off-domain point alone
+        with pytest.raises(DomainError,
+                           match=r"^X=0\.5 outside evaluator domain \[-8\.0, 0\.0\]$"):
+            u.derivative(np.array([-1.0, 0.5, 9.0]))
+
+    @pytest.mark.parametrize("sigma", [-1, 1])
+    @pytest.mark.parametrize("p, k, slope_tol", [
+        (2, 1, 1e-8), (4, 1, 1e-8), (4, 2, 2e-7), (4, 3, 3e-6)])
+    def test_matches_closed_form_u_k(self, p, k, slope_tol, sigma):
+        # v = X^(k-1) makes the ray U_k; its derivative is the table's own,
+        # against U_k' = p X^(p-1) U_k + X^(k-1) from the closed form
+        u = apply_j(p, sigma, lambda X: X ** (k - 1), Laurent([1], k - 1))
+        X = np.linspace(0.0, 0.98 * sigma * special._x_far(p), 301)
+        want = eval_u(p, k, sigma, X)
+        slope = p * X ** (p - 1) * want + X ** (k - 1)
+
+        def rel(got, ref):
+            return np.max(np.abs(got - ref) / np.maximum(1e-3, np.abs(ref)))
+
+        assert rel(u(X), want) <= 1e-11
+        assert rel(u.derivative(X), slope) <= slope_tol
 
     def test_steep_cells_split(self):
         # p = 6 from X_far = 6: the exponent drops by up to ~136 per cell

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate, interpolate
+from scipy import integrate
 
 from cae.errors import BlowupError, CaeError, InfeasibleError, SeriesError
 from cae.series import (
@@ -16,9 +16,9 @@ from cae.series import (
     TaylorPoly,
     evaluate_partial_sum,
 )
-from cae import special
+from cae import _numerics, special
 from cae.canard import canard_control_series
-from cae.cli import main
+from cae.cli import _load_spec, main
 from cae.turning import (
     ODESpec,
     UnsupportedExpansionError,
@@ -29,7 +29,7 @@ from cae.turning import (
     inner_expansion,
     outer_expansion,
 )
-from test_golden import CASES, GOLDEN
+from test_golden import CASES, GOLDEN, INPUTS
 
 EX1 = ODESpec(p=2, h={(0, 0): 1, (1, 0): 1})          # eps y' = 2xy + eps(x+1)
 E1 = ODESpec(p=4, h={(0, 0): -4}, P={(1, 1, 0): -1})  # eps y' = 4x^3 y - 4 eps - x y^2
@@ -322,9 +322,9 @@ class TestGridNativeFlow:
         fine = inner_expansion(spec, 6, -1)
         # rays step their grids on first evaluation, so the coarse ones are
         # stepped below, under the patch: record the size of every grid
-        spline, knots = interpolate.CubicSpline, []
-        monkeypatch.setattr(interpolate, "CubicSpline",
-                            lambda x, y: knots.append(x.size) or spline(x, y))
+        hermite, knots = _numerics.hermite, []
+        monkeypatch.setattr(_numerics, "hermite",
+                            lambda t, y, dy: knots.append(t.size) or hermite(t, y, dy))
         X = _nodes(spec.p)
         orders = [n for n in range(6) if coarse.coeff(n) is not None
                   and coarse.coeff(n).ray is not None]
@@ -339,18 +339,31 @@ class TestGridNativeFlow:
 
     def test_expand_steps_no_flow(self, monkeypatch, capsys):
         # cae expand prints only formal tails: no grid is stepped and no
-        # spline made, and the output is the golden one
+        # table made, and the output is the golden one
         def refuse(*args, **kwargs):
             raise AssertionError("no flow may be stepped here")
 
-        monkeypatch.setattr(special, "_flow_spline", refuse)
-        monkeypatch.setattr(interpolate, "CubicSpline", refuse)
+        monkeypatch.setattr(special, "_flow_table", refuse)
+        monkeypatch.setattr(_numerics, "hermite", refuse)
         name = "expand_nl_p2_exact_o8_minus"
         assert main(CASES[name]) == 0
         assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
         for spec, _values in _RK45_VALUES:
             for sigma in (-1, 1):
                 combined_from_matching(spec, 8, sigma)
+
+    @pytest.mark.parametrize("sigma", [-1, 1])
+    @pytest.mark.parametrize("name, N", [
+        ("p2_exact", 6), ("p2_float", 6), ("p4_exact", 8), ("p4_float", 8),
+        ("nl_p2_exact", 6), ("nl_reduced_p2", 2)])
+    def test_partial_sum_on_array_is_scalar_bit_for_bit(self, name, N, sigma):
+        series = combined_from_matching(_load_spec(str(INPUTS / f"{name}.json")), N, sigma)
+        x = sigma * np.linspace(0.0, 0.7, 15)
+        for eta in (0.3, 0.15):
+            for n in range(N + 1):
+                got = evaluate_partial_sum(series, x, eta, n)
+                want = [evaluate_partial_sum(series, float(xi), eta, n) for xi in x]
+                assert got.tobytes() == np.array(want).tobytes(), (eta, n)
 
     @pytest.mark.parametrize("spec", [s for s, _ in _RK45_VALUES])
     def test_flow_residual_every_order(self, spec):

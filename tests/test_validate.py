@@ -70,6 +70,33 @@ class TestBoundedSolution:
             bounded_solution_quadrature(F2, lambda t: 1.0, 1e-4, 0.5, -1)
 
 
+class TestPreAsymptoticSlot:
+    """The benchmark's validate-linear table on h = 1/3 + x/6 - 5 eps x,
+    p = 2 (seed 2005, cycle 2, slot 6) reads an order-2 slope of 1.69.
+    Its order-5 sup errors are 1e-17 at every eps, so the truth matches the
+    finite exact series; the order-2 errors fall by 1.64, 1.83 and 1.92 per
+    halving of eps, so the table is pre-asymptotic.  The truth is pinned
+    here at three of its points."""
+
+    EPS = (0.010230921603215785, 0.0051154608016078925, 0.0025577304008039463,
+           0.0012788652004019731)
+
+    @pytest.mark.parametrize("i, j", [(0, 0), (21, 1), (63, 3)])
+    def test_truth_matches_mpmath(self, i, j):
+        mpmath = pytest.importorskip("mpmath")
+        x, eps = float(np.linspace(-0.639, 0.0, 64)[i]), self.EPS[j]
+        g = lambda t, eps=eps: 1 / 3 + t / 6 - 5 * eps * t
+        got = bounded_solution_quadrature(F2, g, eps, x, -1)
+        with mpmath.workdps(30):
+            X, E = mpmath.mpf(x), mpmath.mpf(eps)
+            scale = min(mpmath.sqrt(E), E / (2 * abs(X))) if x else mpmath.sqrt(E)
+            ref = mpmath.quad(
+                lambda s: mpmath.exp(s * (2 * X - s) / E)
+                * (mpmath.mpf(1) / 3 + (X - s) / 6 - 5 * E * (X - s)),
+                [0] + [scale * 4 ** n for n in range(6)] + [mpmath.inf])
+        assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
 class TestOdeSolve:
     """``_numerics.shoot``, the one integrator, at its endpoint and dense."""
 
