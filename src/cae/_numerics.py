@@ -133,7 +133,8 @@ def shoot(terms, t0: float, stops, y0, dense: bool = False):
     stop exactly, and the step end is read by Horner's rule.  ``dense``
     returns the steps as a ``Dense`` instead.  Coefficients that overflow,
     or a step too small to move t, as at a pole, raise BlowupError where
-    the solution got to."""
+    the solution got to, its ``member`` the batch index that overflowed or
+    set the step."""
     y = np.array(y0, dtype=float).reshape(-1)
     nmax = max(1, max(n for _, _, n in terms))
     dmax = max(j for _, j, _ in terms)
@@ -148,13 +149,21 @@ def shoot(terms, t0: float, stops, y0, dense: bool = False):
             with np.errstate(all="ignore"):
                 Y = _taylor(Q, nmax, y)
                 tol = _STEP_TOL * np.maximum(1.0, abs(y))
-                h = min(np.min((tol / abs(Y[k])) ** (1.0 / k))
-                        for k in (_ORDER - 1, _ORDER))
+                hs = np.minimum(*((tol / abs(Y[k])) ** (1.0 / k)
+                                  for k in (_ORDER - 1, _ORDER)))
+                h = hs.min()
                 t_end = stop if h >= abs(stop - t) else t + math.copysign(h, stop - t)
                 y = _horner(Y, t_end - t)
-            if not (np.isfinite(Y).all() and np.isfinite(y).all()) or t_end == t:
-                raise BlowupError(f"shooting from {t0!r} toward {stop!r} "
+            # a NaN coefficient makes the step NaN, and with it every
+            # member's end value, so the coefficients name the member first
+            bad = ~np.isfinite(Y).all(axis=0)
+            if not bad.any():
+                bad = ~np.isfinite(y)
+            if bad.any() or t_end == t:
+                exc = BlowupError(f"shooting from {t0!r} toward {stop!r} "
                                   f"blew up near {t!r}", where=t)
+                exc.member = int(np.argmax(bad) if bad.any() else np.argmin(hs))
+                raise exc
             if dense:
                 ends.append(t_end)
                 steps.append(Y)

@@ -9,11 +9,13 @@ its endpoint; both right-hand sides are polynomials, passed as monomial
 tables.  ``_root`` finds the root of the smooth mismatch at X = 0 in
 rounds of one solve, each of all branches at a batch of values of c as one
 system.  Inward, an anchor error is damped like exp(-X^3/3) (Union Jack)
-or exp(-T^2/2) (angular), so with tails 8 terms deep the anchors sit close
-in, at X = 6 and T = 7, where the far field is only mildly stiff (a Taylor
-step there is about 3.5/|lambda| long, lambda = -X^2 on the decaying Union
-Jack leg); results are independent of the anchors beyond that.  Both are
-read at call time.
+or exp(-T^2/2) (angular), and the number of Taylor steps grows like the
+cube of the anchor distance (a step in the far field is about
+3.5/|lambda| long, lambda = -X^2 on the decaying Union Jack leg).  So the
+tails are 16 terms deep and the anchors sit as close in as that allows,
+at X = 4.5 and T = 6: there a tail's residual is no larger than an 8-term
+tail's at X = 6 and T = 7, and results are independent of the anchors
+beyond that.  Both are read at call time.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ from .special import gauss_moment
 from .turning import ODESpec, UnsupportedExpansionError, _g_polynomials
 
 _TOL_FLOOR = 1e-12  # finest root tolerance, far above the shots' error
-_TAIL_TERMS = 8  # nonzero terms of both tail anchors
-_X_FAR = 6.0  # |X| of the Union Jack anchors
-_T_FAR = 7.0  # T of the angular anchor
+_TAIL_TERMS = 16  # nonzero terms of both tail anchors
+_X_FAR = 4.5  # |X| of the Union Jack anchors
+_T_FAR = 6.0  # T of the angular anchor
 _EPS_MIN = 1e-7  # smallest nonzero |eps| of the angular canard value
 _DIFF_STEP = 1e-4  # centered-difference step of _anchor_residual
 _NODES = 12  # Chebyshev-Lobatto nodes of a root's first round

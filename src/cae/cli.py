@@ -97,7 +97,7 @@ def _cmd_validate(args) -> int:
     x_grid = _grid(args.xgrid)
     check_grid(x_grid, sigma)
     series = combined_from_matching(spec, max(orders) + 1, sigma)
-    truth = _truth_for(spec, series, sigma, x_grid)
+    truth = _truth_for(spec, series, sigma, x_grid, eps_list)
 
     tables = [error_scaling(series, truth, eps_list, x_grid, N) for N in orders]
 
@@ -113,11 +113,13 @@ def _cmd_validate(args) -> int:
     return OK
 
 
-def _truth_for(spec: ODESpec, series: CombinedSeries, sigma: int, x_grid):
+def _truth_for(spec: ODESpec, series: CombinedSeries, sigma: int, x_grid,
+               eps_list):
     """truth(x, eps) over the grid points: quadrature for y-linear specs;
-    otherwise, per eps, one Taylor shot through the grid (see ``values``),
-    where a blowup before a grid point raises BlowupError naming that
-    point and eps."""
+    otherwise, for every eps of ``eps_list`` at once, one batched Taylor
+    shot through the grid (see ``values``), where a blowup before a grid
+    point raises BlowupError naming that point and the eps whose member
+    blew up."""
     F = TaylorPoly([0] * spec.p + [1])
     if spec.linear_in_y:
         def g_eps(eps):
@@ -133,22 +135,28 @@ def _truth_for(spec: ODESpec, series: CombinedSeries, sigma: int, x_grid):
 
     edge = min(x_grid) - 0.25 if sigma < 0 else max(x_grid) + 0.25
     stops = sorted(set(map(float, x_grid)), reverse=sigma > 0)
+    eps_list = list(map(float, eps_list))
 
     @functools.cache
-    def values(eps):
-        """{x: truth} over the grid: one shot, launched from the series
-        value beyond the grid edge, that lands on every grid point."""
-        y0 = evaluate_partial_sum(series, edge, eps ** (1.0 / spec.p))
+    def values():
+        """{(x, eps): truth} over the grid: one shot of every eps as one
+        batch, each launched from the series value beyond the grid edge,
+        that lands on every grid point."""
+        y0 = [evaluate_partial_sum(series, edge, eps ** (1.0 / spec.p))
+              for eps in eps_list]
         try:
-            y = _numerics.shoot(_folded_terms(spec, eps), edge, stops, [y0])[:, 0]
+            y = _numerics.shoot(_folded_terms(spec, np.array(eps_list)),
+                                edge, stops, y0)
         except BlowupError as exc:
             x = next(x for x in stops if sigma * x < sigma * exc.where)
             raise BlowupError(f"the truth blows up at x={exc.where:.6g}, before "
-                              f"the grid point x={x!r}, at eps={eps!r}",
+                              f"the grid point x={x!r}, at "
+                              f"eps={eps_list[exc.member]!r}",
                               where=exc.where) from None
-        return dict(zip(stops, y.tolist()))
+        return {(x, eps): v for x, row in zip(stops, y.tolist())
+                for eps, v in zip(eps_list, row)}
 
-    return lambda x, eps: values(eps)[float(x)]
+    return lambda x, eps: values()[float(x), float(eps)]
 
 
 def _h_at(spec: ODESpec, eps: float) -> dict:
@@ -159,10 +167,11 @@ def _h_at(spec: ODESpec, eps: float) -> dict:
     return polys
 
 
-def _folded_terms(spec: ODESpec, eps: float) -> list:
+def _folded_terms(spec: ODESpec, eps: np.ndarray) -> list:
     """The monomial table (c, j, n) of dy/dt for eps y' = p t^(p-1) y +
-    eps h(t, eps) + y P(t, y, eps) at this eps, every eps power and
-    coefficient folded into one float per monomial."""
+    eps h(t, eps) + y P(t, y, eps) at each eps of the array, every eps
+    power and coefficient folded into one array per monomial, one batch
+    member per eps."""
     folded = {(spec.p - 1, 1): spec.p / eps}
     for j, c in _h_at(spec, eps).items():
         folded[j, 0] = folded.get((j, 0), 0.0) + c

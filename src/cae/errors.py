@@ -52,7 +52,10 @@ class InfeasibleError(CaeError):
 
 class BlowupError(CaeError):
     """A trajectory left the admissible region; ``.where`` records the
-    independent-variable location."""
+    independent-variable location, and ``.member``, when a batch of
+    trajectories was shot, the index of the one that left it."""
+
+    member = None
 
     def __init__(self, msg, where=None):
         super().__init__(msg)

@@ -361,17 +361,17 @@ class TestOutputs:
         assert float(last[3]) == pytest.approx(2.0, abs=0.05)
 
 
-    def test_validate_nonlinear_one_shot_chain_per_eps(self, tmp_path, solve_spans):
+    def test_validate_nonlinear_one_batched_shot(self, tmp_path, solve_spans):
         spec = write_spec(tmp_path, NL)
         out_path = tmp_path / "table.csv"
         rc = main(["validate", "--spec", spec, "--orders", "2,3,4",
                    "--eps", "0.1,0.05,0.025,0.0125", "--xgrid", "-0.5:0:8",
                    "--out", str(out_path)])
         assert rc == 0
-        # per eps, one shot from beyond the grid's outer edge that lands on
-        # every grid point in turn
+        # every eps in one batched shot from beyond the grid's outer edge
+        # that lands on every grid point in turn
         stops = [-0.75] + np.linspace(-0.5, 0.0, 8).tolist()
-        assert solve_spans == [tuple(stops)] * 4
+        assert solve_spans == [tuple(stops)]
         rows = [l.split(",") for l in out_path.read_text().splitlines()[1:]]
         slopes = {int(r[0]): float(r[3]) for r in rows if r[3]}
         assert all(slopes[n] >= n - 0.3 for n in (2, 3, 4))

@@ -113,7 +113,7 @@ def _outer_data(name, x):
     """One golden spec, its outer coefficients v_0..v_60 at x and the
     truth(x, eps) of its bounded solution."""
     spec = _load_spec(str(INPUTS / f"{name}.json"))
-    return spec, _outer_values(spec, 60, x), _truth_for(spec, None, -1, [x])
+    return spec, _outer_values(spec, 60, x), _truth_for(spec, None, -1, [x], OUTER[name, x])
 
 
 def _eta_norms(v, p):

@@ -9,6 +9,8 @@ quadrature checks the error estimate it gets back.
 
 import ast
 import collections
+import contextlib
+import io
 import json
 import math
 import os
@@ -21,7 +23,9 @@ import pytest
 from scipy import integrate, optimize
 
 import cae
+from cae import _numerics
 from cae.canard import angular_canard_value
+from cae.cli import main
 from cae.errors import SeriesError
 from cae.series import CombinedSeries, TaylorPoly, antiderivative
 from cae.turning import ODESpec, inner_expansion
@@ -114,6 +118,36 @@ def test_canard_calls_shoot_not_scipy(scipy_calls, solve_spans):
     assert scipy_calls == {}
     # one batched solve per round: the first-round nodes, then refinement
     assert 1 <= len(solve_spans) <= 3
+
+
+_SHOOT_WORK = {  # golden case: (most shoot calls, most Taylor steps)
+    "canard_unionjack": (2, 25),
+    "canard_angular": (6, 30),
+    "validate_nl_p2_exact": (1, 10),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SHOOT_WORK))
+def test_shoot_work_of_the_goldens(monkeypatch, case):
+    # the shoot calls and Taylor steps of the golden commands that shoot:
+    # close-in anchors on 16-term tails, and one batched truth shot for
+    # every eps of a nonlinear table
+    shoot, taylor, n = _numerics.shoot, _numerics._taylor, [0, 0]
+
+    def counting(*args, **kwargs):
+        n[0] += 1
+        return shoot(*args, **kwargs)
+
+    def stepping(*args):
+        n[1] += 1
+        return taylor(*args)
+
+    monkeypatch.setattr(_numerics, "shoot", counting)
+    monkeypatch.setattr(_numerics, "_taylor", stepping)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(CASES[case]) == 0
+    calls, steps = _SHOOT_WORK[case]
+    assert n[0] <= calls and n[1] <= steps, n
 
 
 def test_only_numerics_names_scipy_integration_or_quadrature():

@@ -143,6 +143,32 @@ class TestOdeSolve:
             shoot([(1.0, 0, 2)], 0.0, [3.0], [1.0])
         assert exc.value.where == pytest.approx(1.0, abs=1e-4)
 
+    def test_blowup_names_its_member(self):
+        # y' = y^2 through y0 runs to a pole at t = 1/y0: member 1 (y0 = 2)
+        # blows up near t = 0.5, long before member 0 (y0 = 0.5) at 2
+        with pytest.raises(BlowupError) as exc:
+            shoot([(1.0, 0, 2)], 0.0, [1.0], [0.5, 2.0])
+        assert exc.value.member == 1
+        assert exc.value.where == pytest.approx(0.5, abs=1e-4)
+        # y' = y^3 - y^2 at y0 = 1e200 overflows to inf - inf at once: the
+        # NaN step makes every member's end value NaN, yet member 1 is named
+        with pytest.raises(BlowupError) as exc:
+            shoot([(1.0, 0, 3), (-1.0, 0, 2)], 0.0, [1.0], [0.5, 1e200, 0.25])
+        assert exc.value.member == 1
+
+    def test_batch_of_stiffnesses(self):
+        # y' = a (y - t) + 1 through y(0) = 1 is y = t + exp(a t); the
+        # stiffest member sets every step, and each member keeps its own
+        # closed form
+        a = np.array([1.0, -5.0, -50.0, -400.0])
+        terms = [(a, 0, 1), (-a, 1, 0), (1.0, 0, 0)]
+        stops = [0.25, 0.5, 1.0]
+        got = shoot(terms, 0.0, stops, np.ones(a.size))
+        for t, row in zip(stops, got):
+            for ai, y in zip(a, row):
+                want = t + math.exp(ai * t)
+                assert abs(y - want) <= 1e-15 * abs(want), (ai, t)
+
     def test_linear_problem_matches_quadrature(self):
         # variation-of-constants oracle on eps y' = 2xy + eps g
         eps = 0.5
@@ -237,7 +263,7 @@ class TestErrorScaling:
         spec = _load_spec(str(Path(__file__).parent / "golden" / "inputs" / "p2_exact.json"))
         series = combined_from_matching(spec, 2, -1)
         grid = np.linspace(-1.0, 0.0, 4)
-        truth = _truth_for(spec, series, -1, grid)
+        truth = _truth_for(spec, series, -1, grid, [0.08, 0.02, 1e-300])
         assert truth(0.0, 1e-300) == 0.0
         with pytest.raises(SeriesError, match=r"sup error 0 at eps=1e-300 in a "
                                               r"table that is not degenerate"):
@@ -280,34 +306,37 @@ class TestErrorScaling:
 
 class TestNonlinearTruth:
     @staticmethod
-    def _against_odefun(lo, eps):
-        # the truth on lo:0:8 against mpmath's Taylor ODE solver at 25
-        # digits, started from the same series value a quarter beyond the
-        # grid's outer edge
+    def _against_odefun(lo, eps_list, checked):
+        # the eps of ``checked`` read off one batched truth over eps_list on
+        # lo:0:8, against mpmath's Taylor ODE solver at 25 digits, started
+        # from the same series value a quarter beyond the grid's outer edge
         mpmath = pytest.importorskip("mpmath")
         spec = _load_spec(str(Path(__file__).parent / "golden" / "inputs"
                               / "nl_p2_exact.json"))
         series = combined_from_matching(spec, 4, -1)
         grid = np.linspace(lo, 0.0, 8)
-        truth = _truth_for(spec, series, -1, grid)
-        y0 = evaluate_partial_sum(series, lo - 0.25, math.sqrt(eps))
-        with mpmath.workdps(25):
-            e = mpmath.mpf(eps)
-            # eps y' = 2x y + eps - x y^2 / 2
-            ref = mpmath.odefun(lambda x, y: (2 * x * y + e - x * y * y / 2) / e,
-                                mpmath.mpf(lo - 0.25), mpmath.mpf(y0))
-            for x in grid:
-                y = float(ref(mpmath.mpf(float(x))))
-                assert abs(truth(x, eps) - y) <= 1e-15 * max(1.0, abs(y))
+        truth = _truth_for(spec, series, -1, grid, eps_list)
+        for eps in checked:
+            y0 = evaluate_partial_sum(series, lo - 0.25, math.sqrt(eps))
+            with mpmath.workdps(25):
+                e = mpmath.mpf(eps)
+                # eps y' = 2x y + eps - x y^2 / 2
+                ref = mpmath.odefun(lambda x, y: (2 * x * y + e - x * y * y / 2) / e,
+                                    mpmath.mpf(lo - 0.25), mpmath.mpf(y0))
+                for x in grid:
+                    y = float(ref(mpmath.mpf(float(x))))
+                    assert abs(truth(x, eps) - y) <= 1e-15 * max(1.0, abs(y)), (eps, x)
 
     @pytest.mark.parametrize("eps", [0.08, 0.04, 0.02])
     def test_mpmath_oracle(self, eps):
-        # the grid and eps of the nonlinear golden table
-        self._against_odefun(-0.7, eps)
+        # the grid and eps of the nonlinear golden table: each eps is one
+        # member of the table's batched shot
+        self._against_odefun(-0.7, [0.08, 0.04, 0.02], [eps])
 
     def test_mpmath_oracle_smallest_eps(self):
-        # the smallest eps of the CLI tests, where the linear part is
-        # stiffest (p t / eps up to 120), on the grid whose shot starts at
-        # -0.75; from -1 the series would be read at X = -8.9, beyond the
-        # flow grid
-        self._against_odefun(-0.5, 0.0125)
+        # the eps of the CLI tests down to the smallest, where the linear
+        # part is stiffest (p t / eps up to 120) and sets the batch's steps,
+        # on the grid whose shot starts at -0.75; from -1 the series would
+        # be read at X = -8.9, beyond the flow grid
+        eps_list = [0.1, 0.05, 0.025, 0.0125]
+        self._against_odefun(-0.5, eps_list, eps_list)
