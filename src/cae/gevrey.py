@@ -16,14 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _numerics
 from .errors import InsufficientTailError, SeriesError
 
 _CURVATURE_THRESHOLD = 0.01  # a quadratic coefficient below minus this is sub-Gevrey
-
-
-def _gamma_weight_log(n: float, p: int) -> float:
-    return float(_numerics.special.gammaln(n / p + 1.0))
 
 
 @dataclass(frozen=True)
@@ -56,7 +51,7 @@ def gevrey_fit(norms: Sequence[float], p: int) -> GevreyFit:
     if len(pts) < 6:
         raise SeriesError("need at least 6 nonzero norms")
     xs = np.array([n for n, _v in pts], dtype=float)
-    ys = np.array([math.log(v) - _gamma_weight_log(n, p) for n, v in pts])
+    ys = np.array([math.log(v) - math.lgamma(n / p + 1.0) for n, v in pts])
     slope, intercept = np.polyfit(xs, ys, 1)
     resid = float(np.sqrt(np.mean((np.polyval([slope, intercept], xs) - ys) ** 2)))
     c2 = float(np.polyfit(xs, ys, 2)[0])

@@ -369,7 +369,9 @@ def shift_fast(g: AsymTail) -> AsymTail:
 
 @dataclass(frozen=True, eq=False, slots=True)
 class BasisTerm:
-    """Closed-form decaying basis element, coef times one of:
+    """Closed-form decaying basis element, coef times one of (far off the
+    growth side, U_k (p >= 4), U_k' and D' are read from their formal
+    tails by ``special.tail_or_closed``):
 
     - kind "u":        U_k^sigma(X), the polynomial-growth-free solution of
                        U' = p X**(p-1) U + X**(k-1) on the sigma side;
@@ -584,26 +586,16 @@ class FastFn:
 
 
 def _basis_derivative_eval(t: BasisTerm):
+    """Array evaluator of t's derivative (U_k', D': ``special.tail_or_closed``)."""
     from . import special
 
-    coef = float(t.coef)
-    if t.kind in ("u", "dawson"):
-        # switch to the differentiated tail for large |X| to dodge the
-        # cancellation between the two terms of the closed form
-        dtail = t.tail(DEFAULT_TAIL_DEPTH + (4 if t.kind == "u" else 2)).derivative()
-
-        def ev(X):
-            far = np.abs(X) >= 12.0
-            Xn = np.where(far, 0.0, X)
-            if t.kind == "u":  # U' = p X^(p-1) U + X^(k-1)
-                u = special.eval_u(t.p, t.k, t.sigma, Xn)
-                near = coef * (t.p * Xn ** (t.p - 1) * u + Xn ** (t.k - 1))
-            else:  # D' = 1 - 2 X D
-                near = coef * (1.0 - 2.0 * Xn * _numerics.special.dawsn(Xn))
-            return np.where(far, dtail.to_float().partial_sum(np.where(far, X, 12.0)), near)
-
-        return ev
-    p = t.p
+    coef, p, k, sigma = float(t.coef), t.p, t.k, t.sigma
+    if t.kind == "u":  # U' = p X^(p-1) U + X^(k-1)
+        closed = lambda X: p * X ** (p - 1) * special.eval_u(p, k, sigma, X) + X ** (k - 1)
+        return lambda X: coef * special.tail_or_closed(t, 1, X, closed)
+    if t.kind == "dawson":  # D' = 1 - 2 X D
+        closed = lambda X: 1.0 - 2.0 * X * _numerics.special.dawsn(X)
+        return lambda X: coef * special.tail_or_closed(t, 1, X, closed)
     if t.kind == "exp_poly":
         q = t.poly
         return lambda X: coef * np.exp(-X ** p) * (q.derivative().to_float()(X)

@@ -7,7 +7,8 @@ exponential growth on the sigma half-line of
 
 together with the operator that maps a polynomial-growth forcing v to the
 analogous solution of dU/dX = p X**(p-1) U + v(X).  Values of U_k are
-closed forms in incomplete gamma functions (erfcx when p = 2); the flow map
+closed forms in incomplete gamma functions (erfcx when p = 2) and, far off
+the growth side, their formal tails (``tail_or_closed``); the flow map
 steps the explicit solution of the equation over a grid; formal tails at
 infinity come from the fixed-point inversion of the equation.
 """
@@ -24,15 +25,11 @@ import numpy as np
 
 from . import _numerics
 from ._scalar import is_exact
-from .errors import (
-    BlowupError,
-    CaeError,
-    DomainError,
-    SeriesError,
-)
-from .series import AsymTail, Laurent
+from .errors import BlowupError, CaeError, DomainError, SeriesError
+from .series import AsymTail, BasisTerm, Laurent
 
 EXP_CAP = 700.0  # |X|**p beyond this would overflow exp() in double precision
+TAIL_FROM = 100.0  # |X|**p from which a decaying fast function is its formal tail
 TAIL_DEPTH = 16  # formal-tail terms kept for flow solutions and U_k
 
 
@@ -95,37 +92,17 @@ def u_tail(p: int, k: int, depth: int = TAIL_DEPTH) -> AsymTail:
 # values of U_k^sigma
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.laguerre.laggauss(32)
-
-
-def _exp_gamma_upper(a: float, x: np.ndarray) -> np.ndarray:
-    """e^x Gamma(a, x) for x >= 0: the regularized form up to EXP_CAP and,
-    beyond it, 32-point Gauss-Laguerre on x^(a-1) int_0^inf e^-s
-    (1 + s/x)^(a-1) ds, which cannot overflow."""
-    out = np.empty_like(x)
-    big = x > EXP_CAP
-    xs = x[~big]
-    sf = _numerics.special
-    out[~big] = np.exp(xs) * sf.gammaincc(a, xs) * sf.gamma(a)
-    if big.any():
-        xb = x[big]
-        ratio = 1.0 + _GL_NODES[:, None] / xb
-        out[big] = xb ** (a - 1.0) * (_GL_WEIGHTS @ ratio ** (a - 1.0))
-    return out
-
-
 def eval_u(p: int, k: int, sigma: int, X):
     """Value of U_k^sigma(X) = e^{X^p} * integral_{sigma*inf}^X e^{-T^p} T^(k-1) dT,
     elementwise for an array X (a float for a scalar).
 
-    With x = |X|^p and a = k/p the values are incomplete gamma functions
-    (DLMF 8.2): U_k^-(X <= 0) = (-1)^(k-1) e^x Gamma(a, x)/p and
-    U_k^+(X >= 0) = -e^x Gamma(a, x)/p; p = 2 uses erfcx.  For even k the
-    integrand is odd, U_k^- = U_k^+ = -e^x Gamma(a, x)/p on the whole line.
-    For odd k the growth side adds the full moment,
-    -sigma e^x Gamma(a) (1 + P(a, x))/p, and is refused once x passes the
-    overflow guard.  Where x itself overflows, the other values are
-    -x^(a-1)/p up to the sign, |X|^(k-p)/p, which may underflow to 0.
+    p = 2 uses erfcx, exact on the whole line.  For p >= 4, with x = |X|^p
+    and a = k/p, they are incomplete gamma functions (DLMF 8.2): U_k^-(X <=
+    0) = (-1)^(k-1) e^x Gamma(a, x)/p, U_k^+(X >= 0) = -e^x Gamma(a, x)/p,
+    and for even k (odd integrand) U_k^- = U_k^+ = -e^x Gamma(a, x)/p on
+    the whole line.  For odd k the growth side adds the full moment,
+    -sigma e^x Gamma(a) (1 + P(a, x))/p, refused past the overflow guard;
+    the other values from x = TAIL_FROM on are the tail's (``tail_or_closed``).
     """
     _check_p(p)
     if not 1 <= k <= p - 1:
@@ -136,28 +113,61 @@ def eval_u(p: int, k: int, sigma: int, X):
     if not np.isfinite(X).all():
         raise SeriesError(f"U_{k} needs a finite X, got {X}")
     with np.errstate(over="ignore"):
-        x = np.abs(X) ** p
-    growth = (sigma * X < 0) & bool(k % 2)
-    over = growth & (x > EXP_CAP)
+        over = (sigma * X < 0) & bool(k % 2) & (np.abs(X) ** p > EXP_CAP)
     if over.any():
         raise ExponentCapError(f"U_{k}^{'-' if sigma < 0 else '+'}({X[over].flat[0]}) "
                                f"~ exp(|X|^{p}) overflows")
     if p == 2:
         # U^- = (sqrt(pi)/2) erfcx(-X),  U^+ = -(sqrt(pi)/2) erfcx(X)
-        val = -sigma * (0.5 * math.sqrt(math.pi) * _numerics.special.erfcx(sigma * X))
-    else:
-        a = k / p
-        x, growth = np.atleast_1d(x, growth)
-        val = np.empty_like(x)
-        val[~growth] = _exp_gamma_upper(a, x[~growth])
-        # where x overflows, e^x Gamma(a, x) = x^(a-1) = |X|^(k-p), exactly
-        huge = x == np.inf
-        val[huge] = np.abs(np.atleast_1d(X)[huge]) ** (k - p)
-        xg = x[growth]
-        sf = _numerics.special
-        val[growth] = np.exp(xg) * sf.gamma(a) * (1.0 + sf.gammainc(a, xg))
-        val = val.reshape(X.shape) * ((-sigma if k % 2 else -1) / p)
-    return val[()]
+        return (-sigma * (0.5 * math.sqrt(math.pi) * _numerics.special.erfcx(sigma * X)))[()]
+    a, sf, sign = k / p, _numerics.special, (-sigma if k % 2 else -1) / p
+
+    def closed(X):
+        x, rise = np.abs(X) ** p, (sigma * X < 0) & bool(k % 2)
+        if not rise.any():  # gammaincc alone
+            return np.exp(x) * sf.gammaincc(a, x) * math.gamma(a) * sign
+        val, fall = np.empty(X.shape), ~rise
+        val[fall] = np.exp(x[fall]) * sf.gammaincc(a, x[fall]) * math.gamma(a)
+        val[rise] = np.exp(x[rise]) * math.gamma(a) * (1.0 + sf.gammainc(a, x[rise]))
+        return val * sign
+
+    return tail_or_closed(BasisTerm("u", p, k, sigma), 0, X, closed)
+
+
+@functools.cache
+def _far_tail(kind: str, p: int, k: int, order: int) -> tuple:
+    """(e, c0, c): the depth-12p formal tail of U_k (kind "u") or of Dawson's
+    D (kind "dawson", p = 2), differentiated ``order`` times, is the float
+    sum X**e (c0 + sum_j c[j-1] x**-j), x = X**p (every p-th power only)."""
+    t = BasisTerm(kind, p, k).tail(12 * p)
+    c = (t.derivative() if order else t).dense[::-1]  # powers -1, -2, ...
+    i = next(i for i, g in enumerate(c) if g)
+    return -1 - i, float(c[i]), tuple(float(g) for g in c[i + p::p])
+
+
+def tail_or_closed(term: BasisTerm, order: int, X, closed: Callable):
+    """The one far-field rule: ``term``'s U_k^sigma or Dawson's D (its
+    coefficient not applied), differentiated ``order`` times, on an array
+    X.  From x = |X|**p >= TAIL_FROM off the growth side (odd k with sigma
+    X < 0) it is the depth-12p tail above, where the closed forms lose
+    digits to cancellation or gammaincc; the rest read ``closed(X[rest])``."""
+    X = np.asarray(X, dtype=float)
+    with np.errstate(over="ignore"):
+        x = np.abs(X) ** term.p
+    far = x >= TAIL_FROM
+    if term.kind == "u" and term.k % 2:
+        far &= term.sigma * X >= 0
+    if not far.any():
+        return closed(X)[()]
+    out, Xf = np.empty(X.shape), X[far]
+    e, c0, c = _far_tail(term.kind, term.p, term.k, order)
+    # c0 added last, so the small terms round at their own scale
+    s = c0 + (1.0 / x[far])[:, None] ** np.arange(1, len(c) + 1) @ c
+    lead = np.abs(Xf) ** e  # pow is slow on negative bases
+    out[far] = (np.copysign(lead, Xf) if e % 2 else lead) * s
+    if not far.all():
+        out[~far] = closed(X[~far])
+    return out[()]
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +183,7 @@ def gauss_moment(p: int, j: int, eps: float = 1.0) -> float:
     if j % 2:
         return 0.0
     return ((2.0 / p) * float(eps) ** ((j + 1) / p)
-            * float(_numerics.special.gamma((j + 1) / p)))
+            * math.gamma((j + 1) / p))
 
 
 # ---------------------------------------------------------------------------

@@ -241,6 +241,7 @@ class TestOutputs:
         (["--p", "4", "--k", "1", "--x", "-1e100"], "2.5000000000000001e-301"),
         (["--p", "2", "--k", "1", "--sigma", "plus", "--x", "1e308"],
          "-4.9999999999999995e-309"),
+        (["--p", "4", "--k", "1", "--x", "-1e300"], "0"),  # not -0
     ])
     def test_special_past_the_double_range(self, argv, value, capsys):
         # |X|^p overflows a double; the decaying and even-k values are

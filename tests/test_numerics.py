@@ -63,9 +63,11 @@ def _fresh(args):
     ["resonance", "--alpha", "1", "--beta", "2", "--p", "2"],
     ["canard", "unionjack", "--tol", "1e-8"],
     ["canard", "angular", "--eps", "0.01,0.02,0.04"],
+    ["canard", "criterion", "--spec", str(INPUTS / "control.json"), "--order", "4"],
+    ["gevrey", "fit", "--coeffs", str(INPUTS / "norms.csv"), "--p", "2"],
     ["--help"],
 ], ids=["expand-exact", "expand-float", "expand-nonlinear", "resonance",
-        "canard-unionjack", "canard-angular", "help"])
+        "canard-unionjack", "canard-angular", "canard-criterion", "gevrey-fit", "help"])
 def test_command_loads_no_scipy(argv):
     proc = _fresh(["-c", PROBE, json.dumps(argv)])
     assert proc.returncode == 0, proc.stderr

@@ -301,7 +301,7 @@ class TestCalculus:
     ], ids=["dawson", "exp_poly-p2", "exp_poly-p4", "ell_prime-p2", "ell_prime-p4"])
     def test_closed_form_derivative_evaluators(self, term):
         # the derivative of each closed-form layer against a centred
-        # difference of its value, |X| < 12 where no tail stands in
+        # difference of its value (the Dawson term's tail at X = 11.5)
         g = FastFn.from_basis([term]).derivative()
         h = 1e-5
         for X in (-3.0, -1.1, -0.3, 0.4, 2.5, 11.5):

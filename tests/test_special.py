@@ -13,7 +13,7 @@ from scipy import integrate
 from scipy.special import gamma
 
 from cae.errors import DomainError, SeriesError
-from cae.series import AsymTail, BasisTerm, Laurent, TaylorPoly
+from cae.series import AsymTail, BasisTerm, FastFn, Laurent, TaylorPoly
 from cae import special
 from cae.special import (
     ExponentCapError,
@@ -179,6 +179,72 @@ class TestEvalU:
                                             rel=1e-15)
         with pytest.raises(ExponentCapError):
             eval_u(4, 1, -1, np.array([-1.0, 6.0]))
+
+
+def _u_mp(mpmath, p, k, sigma, X):
+    """U_k^sigma(X) off its growth side, in mpmath: (-sigma or, for even
+    k, -1) e^x Gamma(k/p, x)/p with x = |X|^p (DLMF 8.2)."""
+    x = abs(mpmath.mpf(X)) ** p
+    g = mpmath.exp(x) * mpmath.gammainc(mpmath.mpf(k) / p, x) / p
+    return (-sigma if k % 2 else -1) * g
+
+
+class TestFarField:
+    """Past x = |X|^p = TAIL_FROM, off the growth side, U_k, U_k' and D' are
+    their formal tails; closer in and on the growth side, their closed
+    forms.  Both against 50-digit mpmath, on both sides of the switch."""
+
+    XS = [1, 10, 60, 99, 100, 300, 699, 701, 2000, 1e5]  # values of x = |X|^p
+
+    @staticmethod
+    def _check(got, want, X, p, near_tol, far_tol):
+        for Xi, g, w in zip(X, got, want):
+            tol = far_tol if abs(Xi) ** p >= special.TAIL_FROM else near_tol
+            assert abs(g - w) <= tol * abs(w), (Xi, float(abs(g - w) / abs(w)))
+
+    @pytest.mark.parametrize("p", [4, 6])
+    def test_values_against_mpmath(self, p):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            for k in range(1, p):
+                for sigma in (-1, 1):
+                    # the decaying side, and for even k the other side too
+                    for side in (sigma, -sigma) if k % 2 == 0 else (sigma,):
+                        X = np.array([side * x ** (1 / p) for x in self.XS])
+                        want = [_u_mp(mpmath, p, k, sigma, Xi) for Xi in X]
+                        self._check(eval_u(p, k, sigma, X), want, X, p, 3e-14, 5e-16)
+
+    @pytest.mark.parametrize("p", [2, 4, 6])
+    def test_derivatives_against_mpmath(self, p):
+        mpmath = pytest.importorskip("mpmath")
+        xs = self.XS + [a ** p for a in (11.9, 12.1, 20.0)]  # about the old switch
+        with mpmath.workdps(50):
+            for k in range(1, p):
+                for sigma in (-1, 1):
+                    X = np.array([sigma * x ** (1 / p) for x in xs])
+                    got = FastFn.from_basis([BasisTerm("u", p, k, sigma, 1)]).derivative()(X)
+                    want = [p * mpmath.mpf(Xi) ** (p - 1) * _u_mp(mpmath, p, k, sigma, Xi)
+                            + mpmath.mpf(Xi) ** (k - 1) for Xi in X]
+                    self._check(got, want, X, p, 5e-12, 1e-14)
+            if p == 2:  # D' = 1 - 2 X D, D = (sqrt(pi)/2) e^(-X^2) erfi(X)
+                X = np.array([s * x ** 0.5 for x in xs for s in (-1, 1)])
+                got = FastFn.from_basis([BasisTerm("dawson")]).derivative()(X)
+                want = [1 - mpmath.sqrt(mpmath.pi) * mpmath.mpf(Xi) * mpmath.exp(-mpmath.mpf(Xi) ** 2)
+                        * mpmath.erfi(Xi) for Xi in X]
+                self._check(got, want, X, 2, 5e-12, 1e-14)
+
+    @pytest.mark.parametrize("p, X, X_over", [(2, 12.1, 30.0), (4, 100.5 ** 0.25, 6.0)])
+    def test_growth_side_derivative(self, p, X, X_over):
+        # odd k with sigma X < 0 grows like exp(X^p): past TAIL_FROM its
+        # derivative is still p X^(p-1) U + 1 of the value, never the
+        # decaying tail, and it is refused where the value is
+        assert X ** p >= special.TAIL_FROM
+        dU = FastFn.from_basis([BasisTerm("u", p, 1, -1, 1)]).derivative()
+        want = p * X ** (p - 1) * eval_u(p, 1, -1, X) + 1.0
+        assert dU(X) == pytest.approx(want, rel=1e-14, abs=0)
+        for f in (lambda X: eval_u(p, 1, -1, X), dU):
+            with pytest.raises(ExponentCapError):
+                f(X_over)
 
 
 class TestTailOfJ:
