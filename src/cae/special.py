@@ -165,7 +165,7 @@ def tail_or_closed(term: BasisTerm, order: int, X, closed: Callable):
     s = c0 + (1.0 / x[far])[:, None] ** np.arange(1, len(c) + 1) @ c
     lead = np.abs(Xf) ** e  # pow is slow on negative bases
     out[far] = (np.copysign(lead, Xf) if e % 2 else lead) * s
-    if not far.all():
+    if Xf.size < X.size:
         out[~far] = closed(X[~far])
     return out[()]
 
