@@ -6,9 +6,12 @@ The connection problems are solved by shooting: each branch is anchored on
 its tail at +-``_X_FAR`` (or at T = ``_T_FAR``) and integrated toward
 X = 0 in the direction in which it attracts, by ``_numerics.shoot`` read at
 its endpoint; both right-hand sides are polynomials, passed as monomial
-tables.  ``_root`` finds the root of the smooth mismatch at X = 0 in
-rounds of one solve, each of all branches at a batch of values of c as one
-system.  Inward, an anchor error is damped like exp(-X^3/3) (Union Jack)
+tables.  ``_root`` finds the roots of smooth mismatches at X = 0, one per
+bracket (one for the Union Jack, one per distinct |eps| of an angular
+call), in rounds of one solve, each of all branches of every open bracket
+at a batch of values of c as one system: the golden angular command makes
+2 solves of 10 Taylor steps for its three |eps|, and the Union Jack one
+2 of 25.  Inward, an anchor error is damped like exp(-X^3/3) (Union Jack)
 or exp(-T^2/2) (angular), and the number of Taylor steps grows like the
 cube of the anchor distance (a step in the far field is about
 3.5/|lambda| long, lambda = -X^2 on the decaying Union Jack leg).  So the
@@ -47,9 +50,10 @@ _NODES = 12  # Chebyshev-Lobatto nodes of a root's first round
 def _anchor_residual(rhs: Callable, anchor: Callable, X0: float) -> float:
     """|Y'(X0) - rhs(X0, Y(X0))| for the tail anchor Y of the scalar
     equation dY/dX = rhs(X, Y), with Y' taken by a centered difference:
-    how well the anchor solves the equation."""
-    der = (anchor(X0 + _DIFF_STEP) - anchor(X0 - _DIFF_STEP)) / (2 * _DIFF_STEP)
-    return abs(der - rhs(X0, anchor(X0)))
+    how well the anchor solves the equation.  The anchor is read once, on
+    the array of the three points."""
+    fwd, bwd, mid = anchor(X0 + np.array([_DIFF_STEP, -_DIFF_STEP, 0.0]))
+    return float(abs((fwd - bwd) / (2 * _DIFF_STEP) - rhs(X0, mid)))
 
 
 def _power_sum(coeffs, u):
@@ -72,25 +76,33 @@ def _bracket(nodes, values):
     return next((q for q in pairs if q[1] * q[3] <= 0), None)
 
 
-def _root(F: Callable, nodes: np.ndarray, values: np.ndarray, tol: float):
-    """(c, F(c), calls of F) at a node c within ``tol`` of a root of F, an
-    array function of c, from a first round values = F(nodes) that brackets
-    one.  The estimate r starts at the root of that round's interpolant;
-    each call evaluates F at r and r +- tol/2 inside the bracket and
-    narrows it to their first sign change (tol/2 wide once r is close
-    enough; else r moves to the secant root).  F(c) is measured, never
-    read off the interpolant."""
-    a, fa, b, fb = _bracket(nodes, values)
-    tol = max(tol, 8 * np.spacing(abs(a) + abs(b)))  # every round narrows
-    roots = np.polynomial.Chebyshev.fit(nodes, values, len(nodes) - 1).roots()
-    r = roots[np.argmin(abs(roots - (a - fa * (b - a) / (fb - fa))))].real
+def _root(F: Callable, nodes: np.ndarray, values: np.ndarray, tol):
+    """(c, F(c), calls of F), arrays over the rows: each c a node within
+    ``tol`` (one for all rows, or one per row) of a root of its row's
+    function, from a first round whose row values = F(nodes) brackets one.
+    F(rows, c) evaluates the functions of the given rows, each at its row
+    of the 2-D array c, in one call.  A row's estimate r starts at the
+    root of its first round's interpolant;
+    each call evaluates every row still open at r and r +- tol/2 inside its
+    bracket and narrows the bracket to their first sign change (tol/2 wide
+    once r is close enough; else r moves to the secant root).  F(c) is
+    measured, never read off the interpolant."""
+    a, fa, b, fb = map(np.array, zip(*map(_bracket, nodes, values)))
+    tol = np.maximum(tol, 8 * np.spacing(abs(a) + abs(b)))  # every round narrows
+    r = a - fa * (b - a) / (fb - fa)
+    for j, (x, f) in enumerate(zip(nodes, values)):
+        roots = np.polynomial.Chebyshev.fit(x, f, len(x) - 1).roots()
+        r[j] = roots[np.argmin(abs(roots - r[j]))].real
     calls = 0
-    while b - a > tol:
-        cs = np.clip(r + np.array([-0.5, 0.0, 0.5]) * tol, a, b)
+    while (rows := np.flatnonzero(b - a > tol)).size:
+        cs = np.clip(r[rows, None] + np.array([-0.5, 0.0, 0.5]) * tol[rows, None],
+                     a[rows, None], b[rows, None])
         calls += 1
-        a, fa, b, fb = _bracket(np.r_[a, cs, b], np.r_[fa, F(cs), fb])
+        for j, c, f in zip(rows, cs, F(rows, cs)):
+            a[j], fa[j], b[j], fb[j] = _bracket(np.r_[a[j], c, b[j]], np.r_[fa[j], f, fb[j]])
         r = a - fa * (b - a) / (fb - fa)
-    return (a, fa, calls) if abs(fa) <= abs(fb) else (b, fb, calls)
+    near = abs(fa) <= abs(fb)
+    return np.where(near, a, b), np.where(near, fa, fb), calls
 
 
 def _check_tol(tol: float) -> None:
@@ -110,13 +122,17 @@ def _uj_tail(c) -> list:
     a_{k+2} = [k=0] c + (k-1) a_{k-1} + sum_{i+j+l=k} a_i a_j a_l, so only
     n = 2 mod 3 survive.  Returns b_m = a_{3m+2} for m < ``_TAIL_TERMS``:
     c, 2c, c^3 + 10c, 14c^3 + 80c, ..., by the same recursion in m,
-    b_m = [m=0] c + (3m-1) b_{m-1} + sum_{i+j+l=m-2} b_i b_j b_l.  Exact
-    for exact c.
+    b_m = [m=0] c + (3m-1) b_{m-1} + sum_{i+j+l=m-2} b_i b_j b_l, the cube
+    summed as the Cauchy product of b with the sums of its squares
+    s_n = sum_{i+j=n} b_i b_j.  Exact for exact c.
     """
-    b = []
+    b, s = [], []
     for m in range(_TAIL_TERMS):
-        cube = sum(b[i] * b[j] * b[m - 2 - i - j]
-                   for i in range(m - 1) for j in range(m - 1 - i))
+        cube = 0
+        if m >= 2:
+            n = m - 2
+            s.append(sum(b[i] * b[n - i] for i in range(n + 1)))
+            cube = sum(s[i] * b[n - i] for i in range(n + 1))
         b.append((c if m == 0 else (3 * m - 1) * b[m - 1]) + cube)
     return b
 
@@ -171,13 +187,13 @@ def union_jack_connection(tol: float = 1e-10, mirror: bool = False) -> UnionJack
     """
     _check_tol(tol)
     s = -1.0 if mirror else 1.0
-    F = partial(_uj_mismatch, s=s)
     nodes = _lobatto(*sorted((0.0, 0.5 * s)))
-    values = F(nodes)
+    values = _uj_mismatch(nodes, s)
     if _bracket(nodes, values) is None:
         raise SeriesError("the mismatch does not change sign across the bracket")
-    c0, f0, calls = _root(F, nodes, values, tol)
-    return UnionJackResult(float(c0), abs(float(f0)), 1 + calls)
+    c0, f0, calls = _root(lambda rows, c: _uj_mismatch(c[0], s)[None],
+                          nodes[None], values[None], tol)
+    return UnionJackResult(float(c0[0]), abs(float(f0[0])), 1 + calls)
 
 
 def union_jack_anchor_residual(c: float) -> float:
@@ -219,8 +235,9 @@ def _reduced_branch(D: np.ndarray) -> np.ndarray:
     return _numerics.shoot(terms, _T_FAR, [0.0], _reduced_anchor(D, _T_FAR))[-1]
 
 
-def angular_canard_value(eps: float, tol: float = 1e-10) -> float:
-    """Canard value c(eps) of the classical angular problem: the root of
+def angular_canard_value(eps, tol: float = 1e-10):
+    """Canard value c(eps) of the classical angular problem, elementwise
+    for an array eps (a float for a scalar): the root of
 
         gamma(eps)  V_d(0, (c - d(eps)) / gamma(eps)**2)
       = -gamma(-eps) V_d(0, (c - d(-eps)) / gamma(-eps)**2)
@@ -232,46 +249,74 @@ def angular_canard_value(eps: float, tol: float = 1e-10) -> float:
     shooting's absolute noise floor (about 3e-17), and c/eps^2, -2.695 at
     1e-7, reads -29.4 at 1e-9.
     ``tol`` is the root tolerance, at least 1e-12.
+
+    Every distinct nonzero |eps| is solved at once: each bracket try and
+    each ``_root`` round is one ``_reduced_branch`` shot of the |eps| still
+    open, so a value's last bits depend on the other |eps| of the call.
     """
-    if not abs(eps) < 0.25:
+    eps = np.asarray(eps, dtype=float)
+    size = abs(eps)
+    bad = ~(size < 0.25)
+    if bad.any():
         raise SeriesError(f"eps must be finite with |eps| < 1/4 for real "
-                          f"branch data, got {eps!r}")
-    if 0 < abs(eps) < _EPS_MIN:
-        raise SeriesError(f"|eps| = {abs(eps)!r} is below {_EPS_MIN}: c(eps) "
-                          f"~ -2.7 eps^2 sinks into the shooting's noise floor")
+                          f"branch data, got {float(eps[bad].flat[0])!r}")
+    tiny = (0 < size) & (size < _EPS_MIN)
+    if tiny.any():
+        raise SeriesError(f"|eps| = {float(size[tiny].flat[0])!r} is below "
+                          f"{_EPS_MIN}: c(eps) ~ -2.7 eps^2 sinks into the "
+                          f"shooting's noise floor")
     _check_tol(tol)
-    if eps == 0:
-        return 0.0
+    e, which = np.unique(size[size > 0], return_inverse=True)
+    out = np.zeros(eps.shape)
+    if e.size:
+        out[size > 0] = _angular_roots(e, tol)[which]
+    return out[()]
 
-    dp, dm = (0.5 * (-1.0 + math.sqrt(1.0 + 4.0 * e)) for e in (eps, -eps))
-    gp, gm = ((1.0 + 4.0 * e) ** 0.25 for e in (eps, -eps))
 
-    def F(c):  # both V_d branches at every value of c as one system
-        v = _reduced_branch(np.concatenate([(c - dp) / gp ** 2, (c - dm) / gm ** 2]))
-        return gp * v[:c.size] + gm * v[c.size:]
+def _angular_roots(e: np.ndarray, tol: float) -> np.ndarray:
+    """c(e) at each of the distinct positive e, found together."""
+    def branch(x: float):
+        """(d, gamma) with d + d**2 = x and gamma**2 = 1 + 2 d, by Python's
+        pow: numpy's ** 0.25 may round otherwise."""
+        return 0.5 * (-1.0 + math.sqrt(1.0 + 4.0 * x)), (1.0 + 4.0 * x) ** 0.25
 
-    span = max(8.0 * eps * eps, 1e-5)
-    lo, hi, blown = -span, span, None
+    (dp, gp), (dm, gm) = (np.array([branch(s * x) for x in e.tolist()]).T
+                          for s in (1.0, -1.0))
+
+    def F(rows, c):  # both V_d branches of every row at every c as one system
+        D = np.stack([(c - dp[rows, None]) / gp[rows, None] ** 2,
+                      (c - dm[rows, None]) / gm[rows, None] ** 2])
+        v = _reduced_branch(D.ravel()).reshape(D.shape)
+        return gp[rows, None] * v[0] + gm[rows, None] * v[1]
+
+    span = np.maximum(8.0 * e * e, 1e-5)
+    lo, hi, blown = -span, span, np.full(e.size, np.nan)
+    nodes, values = np.empty((e.size, _NODES)), np.empty((e.size, _NODES))
+    rows = np.arange(e.size)  # the e not yet bracketed
     for _ in range(60):
-        nodes = _lobatto(lo, hi)
+        x = np.array([_lobatto(*ends) for ends in zip(lo[rows], hi[rows])])
         try:
-            values = F(nodes)
-        except BlowupError:
+            f = F(rows, x)
+        except BlowupError as exc:
             # near |eps| = 1/4 high ends drive V_d into blowup; the root
-            # lies below that region, so pull the end toward the lower one
-            blown, hi = hi, 0.5 * (lo + hi)
+            # lies below that region, so pull the top end of the blown
+            # member's e toward its lower one (D holds 2 x rows x nodes)
+            j = rows[exc.member // _NODES % rows.size]
+            blown[j], hi[j] = hi[j], 0.5 * (lo[j] + hi[j])
             continue
-        if _bracket(nodes, values) is not None:
+        found = np.array([_bracket(*q) is not None for q in zip(x, f)])
+        nodes[rows[found]], values[rows[found]] = x[found], f[found]
+        rows = rows[~found]
+        if not rows.size:
             break
-        if blown is None:
-            lo, hi = 2 * lo, 2 * hi
-        else:
-            # the root lies between the last finite end and the blowup
-            lo, hi = hi, 0.5 * (hi + blown)
+        grow, move = rows[np.isnan(blown[rows])], rows[~np.isnan(blown[rows])]
+        lo[grow], hi[grow] = 2 * lo[grow], 2 * hi[grow]
+        # the root lies between the last finite end and the blowup
+        lo[move], hi[move] = hi[move], 0.5 * (hi[move] + blown[move])
     else:
         raise SeriesError("could not bracket the angular canard value")
     # c ~ -2.7 eps^2, so an absolute tol alone would swamp it at tiny eps
-    return float(_root(F, nodes, values, min(tol, 1e-3 * eps * eps))[0])
+    return _root(F, nodes, values, np.minimum(tol, 1e-3 * e * e))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -237,12 +237,9 @@ def _cmd_canard(args) -> int:
         }
     elif args.problem == "angular":
         eps_list = _list(args.eps, float, "--eps")
-        by_abs = {}  # the value curve is even: one root per |eps|
-        for e in eps_list:
-            if abs(e) not in by_abs:
-                by_abs[abs(e)] = angular_canard_value(e, tol=args.tol)
+        values = angular_canard_value(eps_list, tol=args.tol).tolist()
         doc = {
-            "values": [{"eps": e, "value": by_abs[abs(e)]} for e in eps_list],
+            "values": [{"eps": e, "value": v} for e, v in zip(eps_list, values)],
             "residuals": {"root_tol": args.tol},
         }
     else:  # criterion

@@ -10,7 +10,7 @@ analogous solution of dU/dX = p X**(p-1) U + v(X).  Values of U_k are
 closed forms in incomplete gamma functions (erfcx when p = 2) and, far off
 the growth side, their formal tails (``tail_or_closed``); the flow map
 steps the explicit solution of the equation over a grid; formal tails at
-infinity come from the fixed-point inversion of the equation.
+infinity come from matching powers of X in the equation.
 """
 
 from __future__ import annotations
@@ -49,27 +49,25 @@ def _check_p(p: int):
 
 def tail_of_j_series(p: int, v: Laurent, depth: int) -> Laurent:
     """Formal expansion at infinity (a Laurent series in X) of the
-    polynomial-growth solution of U' = p X**(p-1) U + v, by iterating
-    U <- (U' - v)/(p X**(p-1)).
+    polynomial-growth solution of U' = p X**(p-1) U + v, known down to
+    X**-depth: matching powers of X gives, from the top power of v down,
 
-    Each pass gains p-1 orders, so the iteration terminates; the result is
-    exact when v's coefficients are exact.  v known down to X**-d yields a
-    result known down to X**-(d + p - 1) at most.
+        u_e = ((e + p) u_{e+p} - v_{e+p-1}) / p,
+
+    one pass.  The result is exact when v's coefficients are exact.  v
+    known down to X**-d yields a result known down to X**-(d + p - 1) at
+    most.
     """
     _check_p(p)
     if v.low is not None:
         depth = min(depth, p - 1 - v.low)
-    v = Laurent.part(v).truncate(-depth)
-    u = Laurent((), 0, -depth)
-    passes = (depth + v.top_degree + p) // (p - 1) + 3
-    for _ in range(passes):
-        src = (u.derivative() - v).shift(1 - p)  # known at least down to X**-depth
-        u2 = Laurent([0 if c == 0 else Fraction(c, p) if is_exact(c) else c / p
-                      for c in src.dense], src.offset, -depth)
-        if u2 == u:
-            break
-        u = u2
-    return u
+    top = v.top_degree - p + 1
+    u = [0] * max(0, top + depth + 1)  # u[i] multiplies X**(top - i)
+    for i, e in enumerate(range(top, -depth - 1, -1)):
+        # (X**0)' is an exact 0, whatever the type of u_0
+        c = ((e + p) * u[i - p] if i >= p and e + p else 0) - v.coefficient(e + p - 1)
+        u[i] = 0 if c == 0 else Fraction(c, p) if is_exact(c) else c / p
+    return Laurent(u[::-1], -depth, -depth)
 
 
 _U_TAIL_CACHE: dict = {}
@@ -276,7 +274,7 @@ def _flow_table(p: int, sigma: int, v_fn: Callable, u_series: Laurent,
     """
     x0 = sigma * _x_far(p)
     xs = np.linspace(x0, 0.0, points)
-    pw = xs ** p
+    pw = np.abs(xs) ** p  # p is even; pow is slow on negative bases
     # panels: cell i is split into m_i equal parts
     m = np.maximum(1, np.ceil(np.abs(np.diff(pw)) / _MAX_DROP)).astype(int)
     cell = np.repeat(np.arange(points - 1), m)
@@ -286,7 +284,8 @@ def _flow_table(p: int, sigma: int, v_fn: Callable, u_series: Laurent,
     nodes = lo[:, None] + (0.5 * h)[:, None] * (1.0 + _GAUSS_T)
     vals = np.broadcast_to(np.asarray(v_fn(np.append(nodes, xs)), dtype=float),
                            (nodes.size + points,))
-    weighted = np.exp(pw[cell + 1][:, None] - nodes ** p) * vals[:nodes.size].reshape(nodes.shape)
+    weighted = (np.exp(pw[cell + 1][:, None] - np.abs(nodes) ** p)
+                * vals[:nodes.size].reshape(nodes.shape))
     panel = 0.5 * h * (weighted @ _GAUSS_W)
     forced = np.bincount(cell, weights=panel, minlength=points - 1)
     decay = np.exp(np.diff(pw))

@@ -488,10 +488,10 @@ def _reduced_nonlinear_leading(spec: ODESpec, sigma: int,
     terms = [(float(p), p - 1, 1), (float(c), r - 1, 0)]
     terms += [(float(cc), j, k + 1) for (j, k), cc in qterms]
 
-    # formal tail of the nonlinear solution, by the same fixed-point
-    # inversion with the nonlinear terms folded in until it stops changing;
-    # each coefficient depends only on those of powers at least p higher,
-    # so each pass fixes more of them and the loop ends
+    # formal tail of the nonlinear solution: the linear tail of the forcing
+    # with the nonlinear terms folded in, until it stops changing; each
+    # coefficient depends only on those of powers at least p higher, so
+    # each pass fixes more of them and the loop ends
     v0 = Laurent([c], r - 1)
     u, last = tail_of_j_series(p, v0, depth), None
     while u != last:

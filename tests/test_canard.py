@@ -83,6 +83,17 @@ class TestUnionJack:
                                    14 * c ** 3 + 80 * c]
         assert len(_uj_tail(c)) == canard._TAIL_TERMS
 
+    @pytest.mark.parametrize("c", [Fraction(1, 3), Fraction(-7, 5)])
+    def test_tail_cauchy_products_exact(self, c):
+        # the cube by Cauchy products equals the triple sum term by term
+        b = []
+        for m in range(canard._TAIL_TERMS):
+            cube = sum(b[i] * b[j] * b[m - 2 - i - j]
+                       for i in range(m - 1) for j in range(m - 1 - i))
+            b.append((c if m == 0 else (3 * m - 1) * b[m - 1]) + cube)
+        assert _uj_tail(c) == b
+        assert all(type(x) is Fraction for x in _uj_tail(c))
+
     def test_zero_control_stays_below(self):
         # the shooting mismatch Y_fwd(0) - Y_bwd(0) changes sign across the
         # brentq brackets: [0, 1/2], and [-1/2, 0] for the mirror problem
@@ -230,6 +241,43 @@ class TestAngular:
             pytest.approx(-2.69315, abs=1e-4)
         assert angular_canard_value(1e-7, tol=1e-8) / 1e-14 == \
             pytest.approx(-2.693, abs=0.01)
+
+    @pytest.mark.parametrize("eps, alone", [
+        ((0.028, -0.028, 0.0124, -0.0124), (0.028,)),
+        ((0.249, 0.01), (0.249,)),
+    ])
+    def test_batched_roots(self, eps, alone, solve_spans):
+        # every distinct |eps| of a call is solved in one shot per round:
+        # the ode-shaped call makes as many solves as 0.028 alone, and 0.01
+        # adds none to 0.249, whose first tries blow up and pull in its top
+        # end alone.  Each value lies within its root tolerance of the
+        # value solved alone, and the independent residual changes sign
+        # within that tolerance of it
+        angular_canard_value(alone)
+        shots = len(solve_spans)
+        got = angular_canard_value(eps)
+        assert got.shape == (len(eps),)
+        assert len(solve_spans) == 2 * shots
+        for e, c in zip(eps, got):
+            tol = min(1e-10, 1e-3 * e * e)
+            assert abs(c - angular_canard_value(e)) <= tol
+            lo, hi = (_independent_residual(c + k * tol, abs(e)) for k in (-1, 1))
+            assert lo * hi < 0, e
+
+    def test_values_follow_the_shape_of_eps(self):
+        # a float for a float; an array of the same shape otherwise, with
+        # one root per |eps|, the same float for eps and -eps, and 0 at 0
+        assert isinstance(angular_canard_value(0.02), float)
+        got = angular_canard_value([[0.02, 0.0], [-0.02, 0.01]])
+        assert got.shape == (2, 2)
+        assert got[0, 0] == got[1, 0] and got[0, 1] == 0.0
+        assert got[1, 1] == pytest.approx(angular_canard_value(0.01), abs=1e-10)
+
+    def test_bad_eps_refused_before_any_solve(self, solve_spans):
+        for eps in ([0.02, 0.3], [0.01, 1e-9]):
+            with pytest.raises(SeriesError):
+                angular_canard_value(eps)
+        assert solve_spans == []
 
     @pytest.mark.parametrize("eps", [9.9e-8, -1e-8, 1e-9, 5e-324])
     def test_below_noise_floor_refused(self, eps):

@@ -124,7 +124,7 @@ def test_canard_calls_shoot_not_scipy(scipy_calls, solve_spans):
 
 _SHOOT_WORK = {  # golden case: (most shoot calls, most Taylor steps)
     "canard_unionjack": (2, 25),
-    "canard_angular": (6, 30),
+    "canard_angular": (2, 10),
     "validate_nl_p2_exact": (1, 10),
 }
 
@@ -132,8 +132,8 @@ _SHOOT_WORK = {  # golden case: (most shoot calls, most Taylor steps)
 @pytest.mark.parametrize("case", sorted(_SHOOT_WORK))
 def test_shoot_work_of_the_goldens(monkeypatch, case):
     # the shoot calls and Taylor steps of the golden commands that shoot:
-    # close-in anchors on 16-term tails, and one batched truth shot for
-    # every eps of a nonlinear table
+    # close-in anchors on 16-term tails, one batched truth shot for every
+    # eps of a nonlinear table, and one angular shot per round for all |eps|
     shoot, taylor, n = _numerics.shoot, _numerics._taylor, [0, 0]
 
     def counting(*args, **kwargs):

@@ -9,12 +9,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 from scipy.special import gamma
 
 from cae.errors import DomainError, SeriesError
 from cae.series import AsymTail, BasisTerm, FastFn, Laurent, TaylorPoly
 from cae import special
+from cae._scalar import is_exact
 from cae.special import (
     ExponentCapError,
     apply_j,
@@ -282,6 +284,56 @@ class TestTailOfJ:
         v = Laurent([1.0], -1, low=-4)
         u = special.tail_of_j_series(2, v, 20)
         assert u.low == -5  # d_v + p - 1
+
+    @staticmethod
+    def _fixed_point(p, v, depth):
+        """The tail by iterating U <- (U' - v)/(p X**(p-1)) until it stops
+        changing, each pass rebuilding the whole series: the reference the
+        one descending pass must reproduce bit for bit."""
+        if v.low is not None:
+            depth = min(depth, p - 1 - v.low)
+        v = Laurent.part(v).truncate(-depth)
+        u = Laurent((), 0, -depth)
+        for _ in range((depth + v.top_degree + p) // (p - 1) + 3):
+            src = (u.derivative() - v).shift(1 - p)
+            u2 = Laurent([0 if c == 0 else Fraction(c, p) if is_exact(c) else c / p
+                          for c in src.dense], src.offset, -depth)
+            if u2 == u:
+                break
+            u = u2
+        return u
+
+    _exact = st.one_of(st.integers(-9, 9),
+                       st.fractions(min_value=-9, max_value=9, max_denominator=12))
+    _float = st.floats(-9, 9, allow_subnormal=False)
+
+    @given(st.sampled_from((2, 4, 6)), st.booleans(),
+           st.data(), st.integers(0, 6), st.integers(-6, 5),
+           st.one_of(st.none(), st.integers(0, 4)), st.integers(0, 24))
+    @settings(max_examples=300, deadline=None)
+    def test_one_pass_matches_fixed_point(self, p, exact, data, n, offset, below, depth):
+        coeff = self._exact if exact else self._float
+        v = Laurent(data.draw(st.lists(coeff, min_size=n, max_size=n)), offset,
+                    None if below is None else offset - below)
+        got, want = special.tail_of_j_series(p, v, depth), self._fixed_point(p, v, depth)
+        assert (got.offset, got.low) == (want.offset, want.low)
+        assert [(type(c), c) for c in got.dense] == [(type(c), c) for c in want.dense]
+        assert [math.copysign(1.0, c) for c in got.dense] == \
+            [math.copysign(1.0, c) for c in want.dense]
+
+    @given(st.sampled_from((2, 4, 6)),
+           st.lists(_exact, min_size=1, max_size=6), st.integers(-6, 5),
+           st.one_of(st.none(), st.integers(0, 4)), st.integers(0, 24))
+    @settings(max_examples=100, deadline=None)
+    def test_one_pass_solves_equation_exactly(self, p, coeffs, offset, below, depth):
+        # p X^(p-1) u - u' + v vanishes in Fractions at every power the
+        # tail determines: down to X^(p-1-depth), above what u leaves unknown
+        v = Laurent(coeffs, offset, None if below is None else offset - below)
+        u = special.tail_of_j_series(p, v, depth)
+        assert all(is_exact(c) for c in u.dense)
+        resid = u.shift(p - 1).scale(p) - u.derivative() + v
+        for e in range(u.low + p - 1, max(v.top_degree, resid.top_degree) + 1):
+            assert resid.coefficient(e) == 0, (p, e)
 
 
 class TestSharedTailCache:
